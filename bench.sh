@@ -81,8 +81,17 @@ run() {
   echo ">> go test -run '^$' -bench '$pattern' -benchmem -benchtime $BENCHTIME $pkg" >&2
   # set -o pipefail makes a build or benchmark failure fatal despite the
   # tee; the explicit check keeps the failure message attributable.
+  local before
+  before=$(grep -c '^Benchmark' "$raw" || true)
   if ! go test -run '^$' -bench "$pattern" -benchmem -benchtime "$BENCHTIME" "$pkg" | tee -a "$raw"; then
     echo "bench.sh: benchmark run failed: $pkg ($pattern)" >&2
+    exit 1
+  fi
+  # Each pattern must match something on its own: a renamed or deleted
+  # benchmark must not hide behind the entries of an earlier run that
+  # shares the raw file.
+  if [[ "$(grep -c '^Benchmark' "$raw" || true)" -eq "$before" ]]; then
+    echo "bench.sh: pattern matched no benchmark: $pkg ($pattern)" >&2
     exit 1
   fi
 }

@@ -194,19 +194,34 @@ func BenchmarkE2_CastBinaryVsCSV(b *testing.B) {
 	if err := p.Register("src", core.EnginePostgres, "src"); err != nil {
 		b.Fatal(err)
 	}
-	for name, mode := range map[string]core.CastMode{"binary": core.CastDirect, "csv_file": core.CastCSVFile} {
-		b.Run(name, func(b *testing.B) {
-			tmp := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				res, err := p.Cast("src", core.EngineSciDB, core.CastOptions{Mode: mode, TempDir: tmp})
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = p.ArrayStore.Remove(res.Target)
-				p.Deregister(res.Target)
+	benchCastVsCSV(b, p, "src", "")
+}
+
+// benchCastVsCSV runs the direct binary CAST of src into SciDB against
+// E2's file-based CSV reference (experiments.CastViaCSV), as the
+// sub-benchmarks binary<suffix> and csv_file<suffix>.
+func benchCastVsCSV(b *testing.B, p *core.Polystore, src, suffix string) {
+	b.Run("binary"+suffix, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := p.Cast(src, core.EngineSciDB, core.CastOptions{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			_ = p.ArrayStore.Remove(res.Target)
+			p.Deregister(res.Target)
+		}
+	})
+	b.Run("csv_file"+suffix, func(b *testing.B) {
+		tmp := b.TempDir()
+		for i := 0; i < b.N; i++ {
+			res, err := experiments.CastViaCSV(p, src, core.EngineSciDB, src+"_csv", tmp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = p.ArrayStore.Remove(res.Target)
+			p.Deregister(res.Target)
+		}
+	})
 }
 
 // e2Relation builds the E2-shaped (int, string, float) relation used by
@@ -222,9 +237,9 @@ func e2Relation(rows int) *engine.Relation {
 	return rel
 }
 
-// BenchmarkE2_CodecRoundTrip pins the acceptance criterion for the v2
-// codec: encode+decode of 10k rows must be ≥2x faster than the seed v1
-// codec it replaced (kept as WriteBinaryV1 for exactly this comparison).
+// BenchmarkE2_CodecRoundTrip times encode+decode of 10k rows through
+// the columnar codec (the CAST pipe) and the row codec (server
+// responses).
 func BenchmarkE2_CodecRoundTrip(b *testing.B) {
 	rel := e2Relation(10_000)
 	b.Run("v2_columnar", func(b *testing.B) {
@@ -252,18 +267,6 @@ func BenchmarkE2_CodecRoundTrip(b *testing.B) {
 			}
 		}
 	})
-	b.Run("seed_v1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := rel.WriteBinaryV1(&buf); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := engine.ReadBinary(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkE2_CastPipeline measures the full pipelined CAST (encoder and
@@ -279,19 +282,7 @@ func BenchmarkE2_CastPipeline(b *testing.B) {
 		if err := p.Register(name, core.EnginePostgres, name); err != nil {
 			b.Fatal(err)
 		}
-		for label, mode := range map[string]core.CastMode{"binary": core.CastDirect, "csv_file": core.CastCSVFile} {
-			b.Run(fmt.Sprintf("%s/%d", label, rows), func(b *testing.B) {
-				tmp := b.TempDir()
-				for i := 0; i < b.N; i++ {
-					res, err := p.Cast(name, core.EngineSciDB, core.CastOptions{Mode: mode, TempDir: tmp})
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = p.ArrayStore.Remove(res.Target)
-					p.Deregister(res.Target)
-				}
-			})
-		}
+		benchCastVsCSV(b, p, name, fmt.Sprintf("/%d", rows))
 	}
 }
 

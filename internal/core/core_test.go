@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/kvstore"
 	"repro/internal/myria"
 	"repro/internal/stream"
@@ -288,29 +290,6 @@ func TestCastToTileDB(t *testing.T) {
 	}
 }
 
-func TestCastModesEquivalent(t *testing.T) {
-	p := demoStore(t)
-	direct, err := p.Cast("patients", EngineSciDB, CastOptions{Mode: CastDirect})
-	if err != nil {
-		t.Fatal(err)
-	}
-	csv, err := p.Cast("patients", EngineSciDB, CastOptions{Mode: CastCSVFile, TempDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Rows != csv.Rows || direct.Rows != 3 {
-		t.Errorf("cast modes rows: %d vs %d", direct.Rows, csv.Rows)
-	}
-	if direct.Bytes <= 0 || csv.Bytes <= 0 {
-		t.Errorf("cast byte accounting: %d %d", direct.Bytes, csv.Bytes)
-	}
-	r1, _ := p.Query(`SCIDB(aggregate(` + direct.Target + `, sum(age)))`)
-	r2, _ := p.Query(`SCIDB(aggregate(` + csv.Target + `, sum(age)))`)
-	if r1.Tuples[0][0].AsFloat() != r2.Tuples[0][0].AsFloat() {
-		t.Error("cast modes produced different data")
-	}
-}
-
 func TestCastErrors(t *testing.T) {
 	p := demoStore(t)
 	if _, err := p.Cast("nope", EnginePostgres, CastOptions{}); err == nil {
@@ -349,6 +328,70 @@ func TestMigrateRepointsCatalog(t *testing.T) {
 	res2, err := p.Migrate("wf", EnginePostgres, CastOptions{})
 	if err != nil || res2.From != EnginePostgres {
 		t.Errorf("idempotent migrate: %+v %v", res2, err)
+	}
+}
+
+// TestMigrateLeavesOneHome migrates an array to Postgres and back and
+// asserts the source's physical copy goes with it each way — every
+// object has exactly one home — while a migration that fails leaves
+// the source where it was.
+func TestMigrateLeavesOneHome(t *testing.T) {
+	defer fault.Reset()
+	p := demoStore(t)
+	// homes checks the engines hold exactly the physical objects the
+	// catalog points at, nothing stranded beside them.
+	homes := func(when string) {
+		t.Helper()
+		want := map[EngineKind][]string{}
+		for _, o := range p.Objects() {
+			want[o.Engine] = append(want[o.Engine], strings.ToLower(o.Physical))
+		}
+		for eng, got := range map[EngineKind][]string{
+			EnginePostgres: p.Relational.Tables(),
+			EngineSciDB:    p.ArrayStore.Names(),
+		} {
+			for i := range got {
+				got[i] = strings.ToLower(got[i])
+			}
+			sort.Strings(got)
+			sort.Strings(want[eng])
+			if strings.Join(got, ",") != strings.Join(want[eng], ",") {
+				t.Errorf("%s: %s holds %v, catalog points at %v", when, eng, got, want[eng])
+			}
+		}
+	}
+	src, _ := p.Dump("wf")
+	nObjects := len(p.Objects())
+	homes("at start")
+
+	fault.Arm(fault.Spec{Point: FpCastCommit, Mode: fault.ModeError, Times: -1})
+	before := snapshotPolystore(t, p)
+	if _, err := p.Migrate("wf", EnginePostgres, CastOptions{}); err == nil {
+		t.Fatal("migration with the commit failpoint armed succeeded")
+	}
+	fault.Reset()
+	if after := snapshotPolystore(t, p); after != before {
+		t.Fatalf("failed migration changed polystore state\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+
+	for _, to := range []EngineKind{EnginePostgres, EngineSciDB} {
+		if _, err := p.Migrate("wf", to, CastOptions{}); err != nil {
+			t.Fatalf("migrate wf → %s: %v", to, err)
+		}
+		if info, _ := p.Lookup("wf"); info.Engine != to {
+			t.Fatalf("after migrating to %s the catalog says %+v", to, info)
+		}
+		if n := len(p.Objects()); n != nObjects {
+			t.Errorf("after migrating to %s: %d catalog objects, want %d", to, n, nObjects)
+		}
+		homes("after migrating to " + string(to))
+	}
+	back, err := p.Dump("wf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonRelation(back) != canonRelation(src) {
+		t.Error("wf changed on the way there and back")
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,14 +128,22 @@ func TestPipeGoroutineLifecycle(t *testing.T) {
 // failpoint, for every target engine shape, and asserts the cast fails
 // with the injected fault in its chain while the catalog and all
 // engines stay byte-identical — no staged or half-loaded leftovers.
+// The source is a Postgres table, so the Postgres target is the
+// relation→relation cast on the columnar ingest production runs. A
+// fault from the load on costs exactly one rollback, an earlier one
+// none, and the relational engine's table list is as it was.
 func TestCastAtomicRollback(t *testing.T) {
 	defer fault.Reset()
+	staged := map[string]bool{FpCastLoad: true, FpCastLoadMid: true, FpCastCommit: true}
 	for _, target := range []EngineKind{EnginePostgres, EngineSciDB, EngineAccumulo} {
 		for _, point := range CastFailpoints() {
 			t.Run(fmt.Sprintf("%s/%s", target, point), func(t *testing.T) {
 				fault.Reset()
 				p := demoStore(t)
 				before := snapshotPolystore(t, p)
+				tables := p.Relational.Tables()
+				sort.Strings(tables)
+				rollbacks := p.om.castRollbacks.Load()
 				fault.Arm(fault.Spec{Point: point, Mode: fault.ModeError, Times: -1})
 				_, err := p.Cast("patients", target, CastOptions{})
 				fault.Reset()
@@ -146,6 +156,18 @@ func TestCastAtomicRollback(t *testing.T) {
 				}
 				if after := snapshotPolystore(t, p); after != before {
 					t.Fatalf("failed cast changed polystore state\nbefore:\n%s\nafter:\n%s", before, after)
+				}
+				want := int64(0)
+				if staged[point] {
+					want = 1
+				}
+				if got := p.om.castRollbacks.Load() - rollbacks; got != want {
+					t.Errorf("cast.rollbacks moved by %d, want %d", got, want)
+				}
+				after := p.Relational.Tables()
+				sort.Strings(after)
+				if strings.Join(after, ",") != strings.Join(tables, ",") {
+					t.Errorf("Relational.Tables() = %v, want %v", after, tables)
 				}
 			})
 		}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -20,27 +17,8 @@ import (
 	"repro/internal/trace"
 )
 
-// CastMode selects the data-movement path behind the CAST operator.
-// The paper (§2.1) distinguishes file-based import/export from "an
-// access method that knows how to read binary data in parallel directly
-// from another engine" — E2 benchmarks the two.
-type CastMode int
-
-// CAST data-movement modes.
-const (
-	// CastDirect streams the self-describing binary wire format between
-	// engines in memory.
-	CastDirect CastMode = iota
-	// CastCSVFile exports to a CSV file and re-imports it — the
-	// baseline BigDAWG improves on.
-	CastCSVFile
-)
-
 // CastOptions tunes a CAST.
 type CastOptions struct {
-	Mode CastMode
-	// TempDir holds CSV intermediates for CastCSVFile (default os.TempDir).
-	TempDir string
 	// TargetName overrides the minted temp name for the migrated copy.
 	TargetName string
 	// ArrayDims names the dimension columns when casting into the array
@@ -213,10 +191,12 @@ func (p *Polystore) finishCast(sp *trace.Span, res *CastResult, err error) {
 	p.om.castRowsMoved.Add(int64(res.Rows))
 }
 
-// castOnce runs one migration attempt into target. Any error leaves
-// zero trace: the staged copy is dropped before returning, and nothing
-// registers in the catalog until commit. res fields describing the
-// attempt (RowsScanned, Bytes, Rows) are overwritten per attempt.
+// castOnce runs one migration attempt into target: dump the source as
+// a column batch, move it over the wire, stage it under an unregistered
+// name, commit. Any error leaves zero trace: the staged copy is dropped
+// before returning, and nothing registers in the catalog until commit.
+// res fields describing the attempt (RowsScanned, Bytes, Rows) are
+// overwritten per attempt.
 func (p *Polystore) castOnce(ctx context.Context, info ObjectInfo, to EngineKind, target string, opts CastOptions, res *CastResult) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -225,48 +205,8 @@ func (p *Polystore) castOnce(ctx context.Context, info ObjectInfo, to EngineKind
 		return err
 	}
 	stage := p.tempName("stage")
-	// Direct casts out of the relational engine move columnar end to
-	// end: the table's column cache is encoded straight to the wire and
-	// decoded straight into a ColumnBatch — no per-row Tuple boxing
-	// anywhere on the transport. SciDB targets with a predicate take the
-	// generic path below instead: their predicate must see the post-cast
-	// cells (see scidbCellFilter), not the raw rows this path filters.
-	if opts.Mode == CastDirect && info.Engine == EnginePostgres &&
-		!(opts.Predicate != "" && to == EngineSciDB) {
-		_, dspan := trace.Start(ctx, "dump")
-		cb, scanned, applied, err := p.Relational.DumpBatchWhere(info.Physical, opts.Predicate, opts.Columns)
-		dspan.End()
-		if err != nil {
-			return err
-		}
-		res.RowsScanned = scanned
-		res.Pushed = applied
-		wctx, wspan := trace.Start(ctx, "wire")
-		out, nbytes, err := castDirectBatch(wctx, cb)
-		wspan.SetInt("bytes", nbytes)
-		wspan.End()
-		if err != nil {
-			return err
-		}
-		res.Bytes = nbytes
-		_, lspan := trace.Start(ctx, "load")
-		err = p.stageBatch(ctx, to, stage, out, opts)
-		lspan.End()
-		if err != nil {
-			p.rollback(ctx, to, stage)
-			return err
-		}
-		if err := p.commitStage(ctx, to, stage, target); err != nil {
-			p.rollback(ctx, to, stage)
-			return err
-		}
-		p.countCast(applied)
-		res.Rows = out.NumRows
-		return nil
-	}
-
 	_, dspan := trace.Start(ctx, "dump")
-	rel, scanned, applied, err := p.dumpFiltered(info, to, opts)
+	cb, scanned, applied, err := p.dumpBatch(info, to, opts)
 	dspan.End()
 	if err != nil {
 		return err
@@ -274,35 +214,17 @@ func (p *Polystore) castOnce(ctx context.Context, info ObjectInfo, to EngineKind
 	res.RowsScanned = scanned
 	res.Pushed = applied
 
-	// Move the bytes through the selected transport.
-	switch opts.Mode {
-	case CastDirect:
-		wctx, wspan := trace.Start(ctx, "wire")
-		var nbytes int64
-		rel, nbytes, err = castDirect(wctx, rel)
-		wspan.SetInt("bytes", nbytes)
-		wspan.End()
-		if err != nil {
-			return err
-		}
-		res.Bytes = nbytes
-	case CastCSVFile:
-		_, wspan := trace.Start(ctx, "wire")
-		wspan.SetStr("mode", "csv")
-		var nbytes int64
-		rel, nbytes, err = castCSV(rel, opts.TempDir)
-		wspan.SetInt("bytes", nbytes)
-		wspan.End()
-		if err != nil {
-			return err
-		}
-		res.Bytes = nbytes
-	default:
-		return fmt.Errorf("core: unknown cast mode %d", opts.Mode)
+	wctx, wspan := trace.Start(ctx, "wire")
+	out, nbytes, err := castWire(wctx, cb)
+	wspan.SetInt("bytes", nbytes)
+	wspan.End()
+	if err != nil {
+		return err
 	}
+	res.Bytes = nbytes
 
 	_, lspan := trace.Start(ctx, "load")
-	err = p.loadPhysical(ctx, to, stage, rel, opts)
+	err = p.stageBatch(ctx, to, stage, out, opts)
 	lspan.End()
 	if err != nil {
 		p.rollback(ctx, to, stage)
@@ -313,49 +235,8 @@ func (p *Polystore) castOnce(ctx context.Context, info ObjectInfo, to EngineKind
 		return err
 	}
 	p.countCast(applied)
-	res.Rows = rel.Len()
+	res.Rows = out.NumRows
 	return nil
-}
-
-// castCSV round-trips a relation through a CSV file — the file-based
-// transport the paper's direct binary cast is benchmarked against. It
-// returns the re-imported relation and the file size.
-func castCSV(rel *engine.Relation, dir string) (*engine.Relation, int64, error) {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	f, err := os.CreateTemp(dir, "bigdawg_cast_*.csv")
-	if err != nil {
-		return nil, 0, err
-	}
-	path := f.Name()
-	defer os.Remove(path)
-	bw := bufio.NewWriter(f)
-	if err := rel.WriteCSV(fault.Wrap(FpCastPipe, bw)); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, 0, err
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	rf, err := os.Open(filepath.Clean(path))
-	if err != nil {
-		return nil, 0, err
-	}
-	out, err := engine.ReadCSV(bufio.NewReader(rf))
-	rf.Close()
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, fi.Size(), nil
 }
 
 // rollback discards a staged copy after a failed attempt — the
@@ -457,14 +338,31 @@ func (p *Polystore) countCast(pushed bool) {
 	}
 }
 
-// dumpFiltered exports a catalog object as a relation with the cast's
-// predicate and projection applied at (or as close as possible to) the
-// source — the egress half of pushdown. Relational sources filter on
-// the column cache with the vectorized kernels; array sources translate
-// the predicate into the engine's native filter() operator; every other
-// engine dumps and filters the relation before it reaches the wire.
-// scanned reports source rows examined before filtering; applied
-// reports whether any filtering or projection actually ran.
+// dumpBatch exports a catalog object as the column batch the wire
+// carries, with the cast's predicate and projection applied at (or as
+// close as possible to) the source — the egress half of pushdown.
+// Relational sources hand out their column cache, filtered by the
+// vectorized kernels: no per-row Tuple is ever boxed on that leg. Every
+// other engine dumps rows (dumpFiltered) and converts. A SciDB-target
+// predicate also takes the row form, whatever the source: it must see
+// the post-cast cells (see scidbCellFilter), not the raw rows the
+// column-cache filter sees. scanned reports source rows examined before
+// filtering; applied reports whether any filtering or projection
+// actually ran.
+func (p *Polystore) dumpBatch(info ObjectInfo, to EngineKind, opts CastOptions) (*engine.ColumnBatch, int, bool, error) {
+	if info.Engine == EnginePostgres && !(opts.Predicate != "" && to == EngineSciDB) {
+		return p.Relational.DumpBatchWhere(info.Physical, opts.Predicate, opts.Columns)
+	}
+	rel, scanned, applied, err := p.dumpFiltered(info, to, opts)
+	if err != nil {
+		return nil, scanned, false, err
+	}
+	return engine.BatchFromRelation(rel), scanned, applied, nil
+}
+
+// dumpFiltered is the row-form dump behind dumpBatch. Array sources
+// translate the predicate into the engine's native filter() operator;
+// every other engine dumps and filters the relation.
 func (p *Polystore) dumpFiltered(info ObjectInfo, to EngineKind, opts CastOptions) (*engine.Relation, int, bool, error) {
 	if opts.Predicate == "" && len(opts.Columns) == 0 {
 		rel, err := p.Dump(info.Name)
@@ -500,12 +398,6 @@ func (p *Polystore) dumpFiltered(info ObjectInfo, to EngineKind, opts CastOption
 		return rel, scanned, applied, nil
 	}
 	switch info.Engine {
-	case EnginePostgres:
-		cb, scanned, applied, err := p.Relational.DumpBatchWhere(info.Physical, opts.Predicate, opts.Columns)
-		if err != nil {
-			return nil, scanned, false, err
-		}
-		return cb.ToRelation(), scanned, applied, nil
 	case EngineSciDB:
 		a, err := p.ArrayStore.Get(info.Physical)
 		if err != nil {
@@ -676,8 +568,8 @@ func projectRelation(rel *engine.Relation, columns []string) (*engine.Relation, 
 	return out, nil
 }
 
-// parallelCastRows is the cardinality at which the direct transport
-// switches from a single decoder to parallel batch decoding.
+// parallelCastRows is the cardinality at which the transport switches
+// from a single decoder to parallel frame decoding.
 const parallelCastRows = 50_000
 
 // countingWriter tracks how many bytes crossed the transport so CAST
@@ -693,36 +585,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// pipeTransport wires up the shared plumbing of both direct-cast
-// transports: an io.Pipe with byte counting and the FpCastPipe fault
-// interposer on the write side, plus (when the context can end) a
-// watcher goroutine that tears the pipe down on cancellation. The
-// returned cancelWatch must be called once the decode side returns; it
-// stops the watcher so no goroutine outlives the cast.
-func pipeTransport(ctx context.Context) (pr *io.PipeReader, w io.Writer, pw *io.PipeWriter, cw *countingWriter, cancelWatch func()) {
-	pr, pw = io.Pipe()
-	cw = &countingWriter{w: pw}
-	w = fault.Wrap(FpCastPipe, cw)
-	cancelWatch = func() {}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				// Both ends of the pipe fail from here on: the encoder's
-				// next Write and the decoder's next Read return ctx.Err(),
-				// so both goroutines unwind promptly.
-				pr.CloseWithError(ctx.Err())
-			case <-stop:
-			}
-		}()
-		cancelWatch = func() { close(stop) }
-	}
-	return pr, w, pw, cw, cancelWatch
-}
-
-// transportErr settles the error of a finished direct-cast transport.
-// The encoder's error is preferred as the root cause: when the encoder
+// transportErr settles the error of a finished transport. The
+// encoder's error is preferred as the root cause: when the encoder
 // failed first the decoder only ever sees its echo wrapped as stream
 // corruption (which would hide an injected fault's transient
 // classification), and when the decoder failed first the encoder
@@ -740,19 +604,38 @@ func transportErr(ctx context.Context, decodeErr, encodeErr error) error {
 	return err
 }
 
-// castDirect streams rel through the v2 binary wire format with the
-// encoder and decoder running concurrently over an io.Pipe, so the
-// transport costs max(encode, decode) rather than their sum — the
-// paper's direct binary cast, without the seed's full-stream
-// bytes.Buffer staging. Large relations additionally fan batch decoding
-// out across CPUs. Cancelling ctx tears both goroutines down.
-func castDirect(ctx context.Context, rel *engine.Relation) (*engine.Relation, int64, error) {
+// castWire is the CAST transport — the paper's direct binary cast: cb
+// streams through the v2 wire format with the encoder and decoder
+// running concurrently over an io.Pipe, so it costs max(encode, decode)
+// rather than their sum and never stages the whole stream. One wire
+// frame decodes into one columnar mini-batch (allocation per frame, not
+// per row); large batches additionally fan frame decoding out across
+// CPUs. The write side counts bytes and carries the FpCastPipe fault
+// interposer. Cancelling ctx tears both goroutines down, and neither
+// outlives the call.
+func castWire(ctx context.Context, cb *engine.ColumnBatch) (*engine.ColumnBatch, int64, error) {
 	parent := trace.FromContext(ctx)
-	pr, w, pw, cw, cancelWatch := pipeTransport(ctx)
+	pr, pw := io.Pipe()
+	cw := &countingWriter{w: pw}
+	w := fault.Wrap(FpCastPipe, cw)
+	if ctx.Done() != nil {
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			select {
+			case <-ctx.Done():
+				// Both ends of the pipe fail from here on: the encoder's
+				// next Write and the decoder's next Read return ctx.Err(),
+				// so both goroutines unwind promptly.
+				pr.CloseWithError(ctx.Err())
+			case <-stop:
+			}
+		}()
+	}
 	encodeErr := make(chan error, 1)
 	go func() {
 		enc := parent.StartChild("encode")
-		err := rel.WriteBinary(w)
+		err := cb.WriteBinary(w)
 		pw.CloseWithError(err)
 		// End before the send: the main goroutine may inspect or render
 		// the trace as soon as it reads encodeErr, and an open span there
@@ -761,15 +644,12 @@ func castDirect(ctx context.Context, rel *engine.Relation) (*engine.Relation, in
 		encodeErr <- err
 	}()
 	dec := parent.StartChild("decode")
-	var out *engine.Relation
-	var err error
-	if rel.Len() >= parallelCastRows {
-		out, err = engine.ReadBinaryParallel(pr, runtime.GOMAXPROCS(0))
-	} else {
-		out, err = engine.ReadBinary(pr)
+	workers := 1
+	if cb.NumRows >= parallelCastRows {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	out, err := engine.ReadBinaryColumnar(pr, workers)
 	dec.End()
-	cancelWatch()
 	if err != nil {
 		// Unblock the encoder if it is still mid-stream, then reap it.
 		pr.CloseWithError(err)
@@ -781,70 +661,26 @@ func castDirect(ctx context.Context, rel *engine.Relation) (*engine.Relation, in
 	return out, cw.n, nil
 }
 
-// castDirectBatch is castDirect for column batches: the same concurrent
-// encode/decode over a pipe, but one wire frame decodes into one
-// columnar mini-batch, so the transport allocates per frame rather than
-// per row.
-func castDirectBatch(ctx context.Context, cb *engine.ColumnBatch) (*engine.ColumnBatch, int64, error) {
-	parent := trace.FromContext(ctx)
-	pr, w, pw, cw, cancelWatch := pipeTransport(ctx)
-	encodeErr := make(chan error, 1)
-	go func() {
-		enc := parent.StartChild("encode")
-		err := cb.WriteBinary(w)
-		pw.CloseWithError(err)
-		// End before the send — see castDirect.
-		enc.End()
-		encodeErr <- err
-	}()
-	dec := parent.StartChild("decode")
-	workers := 1
-	if cb.NumRows >= parallelCastRows {
-		workers = runtime.GOMAXPROCS(0)
+// stageBatch lands the decoded batch under an unregistered stage name —
+// the ingress half of CAST. The relational engine ingests the columns
+// directly; every other engine takes the arena-materialised relation
+// (two allocations for all tuples, not one per row) through
+// loadPhysical. Both arms evaluate the same failpoints in the same
+// order, armed or not.
+func (p *Polystore) stageBatch(ctx context.Context, to EngineKind, stage string, cb *engine.ColumnBatch, opts CastOptions) error {
+	if to != EnginePostgres {
+		return p.loadPhysical(ctx, to, stage, cb.ToRelation(), opts)
 	}
-	out, err := engine.ReadBinaryColumnar(pr, workers)
-	dec.End()
-	cancelWatch()
-	if err != nil {
-		pr.CloseWithError(err)
-		return nil, 0, transportErr(ctx, err, <-encodeErr)
-	}
-	if werr := <-encodeErr; werr != nil {
-		return nil, 0, werr
-	}
-	return out, cw.n, nil
-}
-
-// LoadBatch materialises a column batch in the target engine — the
-// columnar ingress half of CAST. Relational targets ingest the batch
-// directly; other engines receive the arena-materialised relation (two
-// allocations for all tuples, not one per row).
-func (p *Polystore) LoadBatch(to EngineKind, name string, cb *engine.ColumnBatch, opts CastOptions) error {
-	return p.LoadBatchCtx(context.Background(), to, name, cb, opts)
-}
-
-// LoadBatchCtx is LoadBatch with cancellation, staged like LoadCtx.
-func (p *Polystore) LoadBatchCtx(ctx context.Context, to EngineKind, name string, cb *engine.ColumnBatch, opts CastOptions) error {
-	stage := p.tempName("stage")
-	if err := p.stageBatch(ctx, to, stage, cb, opts); err != nil {
-		p.rollback(ctx, to, stage)
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return p.commitStageOrDrop(ctx, to, stage, name)
-}
-
-// stageBatch lands a column batch under an unregistered stage name.
-// The columnar fast path only runs with no failpoints armed: under
-// injection the batch goes through the split relation path so faults
-// can observe (and rollback can discard) a half-loaded copy.
-func (p *Polystore) stageBatch(ctx context.Context, to EngineKind, stage string, cb *engine.ColumnBatch, opts CastOptions) error {
-	if to == EnginePostgres && !fault.Active() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return p.Relational.InsertBatch(stage, cb)
+	if err := fault.Hit(FpCastLoad); err != nil {
+		return err
 	}
-	return p.loadPhysical(ctx, to, stage, cb.ToRelation(), opts)
+	if err := p.Relational.InsertBatch(stage, cb); err != nil {
+		return err
+	}
+	return fault.Hit(FpCastLoadMid)
 }
 
 // Load materialises a relation as a new object in the target engine and
@@ -863,11 +699,6 @@ func (p *Polystore) LoadCtx(ctx context.Context, to EngineKind, name string, rel
 		p.rollback(ctx, to, stage)
 		return err
 	}
-	return p.commitStageOrDrop(ctx, to, stage, name)
-}
-
-// commitStageOrDrop commits a staged copy, rolling it back on failure.
-func (p *Polystore) commitStageOrDrop(ctx context.Context, to EngineKind, stage, name string) error {
 	if err := p.commitStage(ctx, to, stage, name); err != nil {
 		p.rollback(ctx, to, stage)
 		return err
@@ -877,10 +708,9 @@ func (p *Polystore) commitStageOrDrop(ctx context.Context, to EngineKind, stage,
 
 // loadPhysical materialises a relation in the target engine under name
 // without touching the catalog — the staging half of every load.
-// Multi-step engine loads evaluate FpCastLoadMid part-way through, so
-// fault schedules can strand a half-loaded object for rollback to
-// discard; relational loads split into two halves under injection for
-// the same reason.
+// Every engine evaluates FpCastLoadMid once physical state exists under
+// name (the kv loader part-way through, the others with the copy
+// landed), so fault schedules strand an object for rollback to discard.
 func (p *Polystore) loadPhysical(ctx context.Context, to EngineKind, name string, rel *engine.Relation, opts CastOptions) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -890,19 +720,10 @@ func (p *Polystore) loadPhysical(ctx context.Context, to EngineKind, name string
 	}
 	switch to {
 	case EnginePostgres:
-		if fault.Active() {
-			half := rel.Len() / 2
-			first := &engine.Relation{Schema: rel.Schema, Tuples: rel.Tuples[:half]}
-			if err := p.Relational.InsertRelation(name, first); err != nil {
-				return err
-			}
-			if err := fault.Hit(FpCastLoadMid); err != nil {
-				return err
-			}
-			rest := &engine.Relation{Schema: rel.Schema, Tuples: rel.Tuples[half:]}
-			return p.Relational.InsertRelation(name, rest)
-		}
 		if err := p.Relational.InsertRelation(name, rel); err != nil {
+			return err
+		}
+		if err := fault.Hit(FpCastLoadMid); err != nil {
 			return err
 		}
 	case EngineSciDB:
@@ -1093,11 +914,16 @@ func (p *Polystore) MigrateCtx(ctx context.Context, object string, to EngineKind
 	if err != nil {
 		return res, err
 	}
-	// Repoint the logical name at the migrated copy.
+	// Repoint the logical name at the migrated copy, and only then drop
+	// the source's physical copy: a migration moves the object, so each
+	// object keeps exactly one home, and a failure anywhere above has
+	// left the source untouched. (Streams have no drop; a migrated
+	// stream's window keeps ingesting, unregistered.)
 	p.mu.Lock()
 	delete(p.catalog, strings.ToLower(res.Target))
 	p.catalog[strings.ToLower(object)] = ObjectInfo{Name: object, Engine: to, Physical: res.Target}
 	p.mu.Unlock()
+	p.dropPhysical(info.Engine, info.Physical)
 	res.Target = object
 	return res, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -148,19 +149,6 @@ func TestReadBinaryColumnarParallel(t *testing.T) {
 	relationsEqual(t, rel, cb.ToRelation())
 }
 
-func TestReadBinaryColumnarV1Fallback(t *testing.T) {
-	rel := batchSampleRel(100)
-	var buf bytes.Buffer
-	if err := rel.WriteBinaryV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cb, err := ReadBinaryColumnar(&buf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relationsEqual(t, rel, cb.ToRelation())
-}
-
 func TestReadBinaryColumnarCorrupt(t *testing.T) {
 	rel := batchSampleRel(300)
 	var buf bytes.Buffer
@@ -180,6 +168,13 @@ func TestReadBinaryColumnarCorrupt(t *testing.T) {
 	mut[len(mut)/2] ^= 0x7f
 	if cb, err := ReadBinaryColumnar(bytes.NewReader(mut), 1); err == nil && cb.NumRows != rel.Len() {
 		t.Fatalf("corrupt stream decoded to %d rows", cb.NumRows)
+	}
+	// A magic-less former-v1 stream is corrupt input, whatever the
+	// worker count.
+	for _, workers := range []int{1, 4} {
+		if _, err := ReadBinaryColumnar(bytes.NewReader(formerV1Stream()), workers); !errors.Is(err, errCorrupt) {
+			t.Fatalf("workers=%d: former v1 stream: got %v, want errCorrupt", workers, err)
+		}
 	}
 }
 

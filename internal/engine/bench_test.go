@@ -26,17 +26,6 @@ func BenchmarkWriteBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteBinaryV1Seed(b *testing.B) {
-	r := benchRelation(10_000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := r.WriteBinaryV1(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkReadBinary(b *testing.B) {
 	r := benchRelation(10_000)
 	var buf bytes.Buffer
@@ -48,38 +37,6 @@ func BenchmarkReadBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadBinary(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadBinaryV1Seed(b *testing.B) {
-	r := benchRelation(10_000)
-	var buf bytes.Buffer
-	if err := r.WriteBinaryV1(&buf); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadBinaryParallel(b *testing.B) {
-	r := benchRelation(100_000)
-	var buf bytes.Buffer
-	if err := r.WriteBinary(&buf); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinaryParallel(bytes.NewReader(raw), 4); err != nil {
 			b.Fatal(err)
 		}
 	}

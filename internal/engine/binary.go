@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"repro/internal/fault"
 )
@@ -33,10 +32,8 @@ import (
 // engine". Framing the tuples into bounded batches is what makes the
 // format streamable (encoder and decoder run concurrently over a pipe)
 // and parallel-decodable (each payload is independent once the schema is
-// known). ReadBinary also accepts the unframed v1 layout the seed wrote
-// (no magic, u64 tuple count up front, values in one run); v1 streams
-// are deliberately subject to the same uniform bounds below, so a v1
-// stream with e.g. a >4KiB column name is rejected rather than trusted.
+// known). A stream that does not open with the magic word is corrupt
+// input.
 
 // Wire-codec failpoints, evaluated once per batch frame (not per value,
 // so the disabled-path cost is one atomic load per ~64KiB). Chaos tests
@@ -76,9 +73,9 @@ const (
 	// rows under this cap keeps every honest frame under maxBatchBytes,
 	// preserving the invariant that encode-side checks guarantee the
 	// reader accepts the stream. It also makes maxRowBytes the effective
-	// v2 encode limit for a single string value (checked against
+	// encode limit for a single string value (checked against
 	// maxEncodeStringLen so the error names the string, not the row);
-	// maxStringLen remains the looser decode bound for v1 compatibility.
+	// maxStringLen is the looser bound the decoder enforces.
 	maxRowBytes        = 1 << 25
 	maxEncodeStringLen = maxRowBytes - 64
 
@@ -326,8 +323,8 @@ func decodeBatch(schema Schema, payload []byte, count int) ([]Tuple, error) {
 	return tuples, nil
 }
 
-// readSchema decodes the per-column header shared by v1 and v2, with
-// uniform bounds on column count and name length.
+// readSchema decodes the per-column header, with uniform bounds on
+// column count and name length.
 func readSchema(r io.Reader, ncols uint32) (Schema, error) {
 	if ncols > maxColumns {
 		return Schema{}, corruptf("column count %d exceeds limit %d", ncols, maxColumns)
@@ -393,49 +390,38 @@ func preallocTupleCap(declared uint64) int {
 	return int(declared)
 }
 
-// ReadBinary deserialises a relation written by WriteBinary. Streams in
-// the seed's unframed v1 layout (no magic word) are still accepted.
+// readWireHeader consumes the stream header — magic word, schema,
+// declared tuple count. Anything that does not open with the magic is
+// corrupt input. Shared by the row and columnar decoders.
+func readWireHeader(r io.Reader) (Schema, uint64, error) {
+	var word [8]byte
+	if _, err := io.ReadFull(r, word[:4]); err != nil {
+		return Schema{}, 0, corruptf("truncated stream: %v", err)
+	}
+	if magic := binary.LittleEndian.Uint32(word[:4]); magic != binaryMagic {
+		return Schema{}, 0, corruptf("bad magic %#x", magic)
+	}
+	if _, err := io.ReadFull(r, word[:4]); err != nil {
+		return Schema{}, 0, corruptf("truncated column count: %v", err)
+	}
+	schema, err := readSchema(r, binary.LittleEndian.Uint32(word[:4]))
+	if err != nil {
+		return Schema{}, 0, err
+	}
+	if _, err := io.ReadFull(r, word[:]); err != nil {
+		return Schema{}, 0, corruptf("truncated tuple count: %v", err)
+	}
+	return schema, binary.LittleEndian.Uint64(word[:]), nil
+}
+
+// ReadBinary deserialises a relation written by WriteBinary. It is the
+// decoder of the server's response frames (server.ReadResponse); the
+// CAST pipe decodes columnar, through ReadBinaryColumnar.
 func ReadBinary(r io.Reader) (*Relation, error) {
-	return readBinary(r, 1)
-}
-
-// ReadBinaryParallel is ReadBinary with batch decoding fanned out over
-// the given number of worker goroutines — the paper's "read binary data
-// in parallel" access method. Only v2 streams are framed for parallel
-// decode; v1 streams fall back to sequential.
-func ReadBinaryParallel(r io.Reader, workers int) (*Relation, error) {
-	return readBinary(r, workers)
-}
-
-func readBinary(r io.Reader, workers int) (*Relation, error) {
-	var word [4]byte
-	if _, err := io.ReadFull(r, word[:]); err != nil {
-		return nil, corruptf("truncated stream: %v", err)
-	}
-	first := binary.LittleEndian.Uint32(word[:])
-	if first != binaryMagic {
-		// v1 layout: the first word is the column count itself.
-		return readBinaryV1(r, first)
-	}
-	if _, err := io.ReadFull(r, word[:]); err != nil {
-		return nil, corruptf("truncated column count: %v", err)
-	}
-	schema, err := readSchema(r, binary.LittleEndian.Uint32(word[:]))
+	schema, declared, err := readWireHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	var cnt [8]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, corruptf("truncated tuple count: %v", err)
-	}
-	declared := binary.LittleEndian.Uint64(cnt[:])
-	if workers > 1 {
-		return readBatchesParallel(r, schema, declared, workers)
-	}
-	return readBatchesSequential(r, schema, declared)
-}
-
-func readBatchesSequential(r io.Reader, schema Schema, declared uint64) (*Relation, error) {
 	rel := NewRelation(schema)
 	rel.Tuples = make([]Tuple, 0, preallocTupleCap(declared))
 	ncols := len(schema.Columns)
@@ -475,285 +461,4 @@ func readBatchesSequential(r io.Reader, schema Schema, declared uint64) (*Relati
 		return nil, corruptf("header declares %d tuples, stream carried %d", declared, total)
 	}
 	return rel, nil
-}
-
-// readBatchesParallel pipelines frame reading with batch decoding: a
-// reader goroutine pulls frames off the wire while a worker pool decodes
-// them out of order, reassembled by sequence number.
-func readBatchesParallel(r io.Reader, schema Schema, declared uint64, workers int) (*Relation, error) {
-	type frame struct {
-		seq     int
-		count   int
-		payload []byte
-	}
-	type result struct {
-		seq    int
-		tuples []Tuple
-		err    error
-	}
-	ncols := len(schema.Columns)
-	frames := make(chan frame, workers)
-	results := make(chan result, workers)
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for f := range frames {
-				tuples, err := decodeBatch(schema, f.payload, f.count)
-				results <- result{f.seq, tuples, err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	readErr := make(chan error, 1)
-	go func() {
-		defer close(frames)
-		var total uint64
-		seq := 0
-		for {
-			count, payloadLen, err := readFrameHeader(r, ncols)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			if count == 0 {
-				if total != declared {
-					readErr <- corruptf("header declares %d tuples, stream carried %d", declared, total)
-				} else {
-					readErr <- nil
-				}
-				return
-			}
-			payload := make([]byte, payloadLen)
-			if _, err := io.ReadFull(r, payload); err != nil {
-				readErr <- corruptf("truncated batch payload: %v", err)
-				return
-			}
-			frames <- frame{seq, count, payload}
-			seq++
-			total += uint64(count)
-			if total > declared {
-				readErr <- corruptf("stream carries more than the declared %d tuples", declared)
-				return
-			}
-			if ncols == 0 && total > maxZeroColTuples {
-				readErr <- corruptf("zero-column relation claims %d tuples", total)
-				return
-			}
-		}
-	}()
-
-	var batches [][]Tuple
-	var firstErr error
-	for res := range results {
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
-		}
-		for res.seq >= len(batches) {
-			batches = append(batches, nil)
-		}
-		batches[res.seq] = res.tuples
-	}
-	if err := <-readErr; err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	rel := NewRelation(schema)
-	n := 0
-	for _, b := range batches {
-		n += len(b)
-	}
-	rel.Tuples = make([]Tuple, 0, n)
-	for _, b := range batches {
-		rel.Tuples = append(rel.Tuples, b...)
-	}
-	return rel, nil
-}
-
-// ---------- v1 compatibility ----------
-
-// WriteBinaryV1 serialises the relation in the seed's unframed v1
-// layout: u32 column count, columns, u64 tuple count, then one
-// io.Writer call per value. Retained so benchmarks can compare the v2
-// codec against the seed baseline and so back-compat decoding stays
-// covered; new code should use WriteBinary.
-func (r *Relation) WriteBinaryV1(w io.Writer) error {
-	var scratch [10]byte
-	put32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := w.Write(scratch[:4])
-		return err
-	}
-	put64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := w.Write(scratch[:8])
-		return err
-	}
-	if err := put32(uint32(len(r.Schema.Columns))); err != nil {
-		return err
-	}
-	for _, c := range r.Schema.Columns {
-		if len(c.Name) > maxNameLen {
-			return fmt.Errorf("engine: column name of %d bytes exceeds wire limit %d", len(c.Name), maxNameLen)
-		}
-		if _, err := w.Write([]byte{byte(c.Type)}); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(len(c.Name)))
-		if _, err := w.Write(scratch[:2]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, c.Name); err != nil {
-			return err
-		}
-	}
-	if err := put64(uint64(len(r.Tuples))); err != nil {
-		return err
-	}
-	for _, t := range r.Tuples {
-		for _, v := range t {
-			if _, err := w.Write([]byte{byte(v.Kind)}); err != nil {
-				return err
-			}
-			switch v.Kind {
-			case TypeNull:
-			case TypeInt:
-				n := binary.PutVarint(scratch[:], v.I)
-				if _, err := w.Write(scratch[:n]); err != nil {
-					return err
-				}
-			case TypeFloat:
-				if err := put64(math.Float64bits(v.F)); err != nil {
-					return err
-				}
-			case TypeString:
-				if err := put32(uint32(len(v.S))); err != nil {
-					return err
-				}
-				if _, err := io.WriteString(w, v.S); err != nil {
-					return err
-				}
-			case TypeBool:
-				b := byte(0)
-				if v.B {
-					b = 1
-				}
-				if _, err := w.Write([]byte{b}); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("engine: cannot serialise kind %v", v.Kind)
-			}
-		}
-	}
-	return nil
-}
-
-// readBinaryV1 decodes the seed's unframed layout. The column count has
-// already been consumed by the magic probe. Unlike the seed decoder it
-// never trusts the wire's tuple count for preallocation beyond a cap,
-// and every bound violation reports errCorrupt with context.
-func readBinaryV1(r io.Reader, ncols uint32) (*Relation, error) {
-	schema, err := readSchema(r, ncols)
-	if err != nil {
-		return nil, err
-	}
-	br := byteReaderFrom(r)
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-		return nil, corruptf("truncated tuple count: %v", err)
-	}
-	ntup := binary.LittleEndian.Uint64(scratch[:8])
-	// A zero-column tuple consumes no wire bytes, so the claimed count is
-	// the only bound on the decode loop — cap it rather than trust it.
-	if len(schema.Columns) == 0 && ntup > maxZeroColTuples {
-		return nil, corruptf("zero-column relation claims %d tuples", ntup)
-	}
-	rel := NewRelation(schema)
-	rel.Tuples = make([]Tuple, 0, preallocTupleCap(ntup))
-	for i := uint64(0); i < ntup; i++ {
-		t := make(Tuple, len(schema.Columns))
-		for j := range t {
-			kind, err := br.ReadByte()
-			if err != nil {
-				return nil, corruptf("truncated at tuple %d column %d: %v", i, j, err)
-			}
-			switch Type(kind) {
-			case TypeNull:
-				t[j] = Null
-			case TypeInt:
-				iv, err := binary.ReadVarint(br)
-				if err != nil {
-					return nil, corruptf("bad varint at tuple %d column %d: %v", i, j, err)
-				}
-				t[j] = NewInt(iv)
-			case TypeFloat:
-				if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-					return nil, corruptf("truncated float at tuple %d column %d: %v", i, j, err)
-				}
-				t[j] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(scratch[:8])))
-			case TypeString:
-				if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-					return nil, corruptf("truncated string length at tuple %d column %d: %v", i, j, err)
-				}
-				n := binary.LittleEndian.Uint32(scratch[:4])
-				if n > maxStringLen {
-					return nil, corruptf("string length %d exceeds limit %d at tuple %d column %d", n, maxStringLen, i, j)
-				}
-				buf := make([]byte, n)
-				if _, err := io.ReadFull(br, buf); err != nil {
-					return nil, corruptf("truncated string body at tuple %d column %d: %v", i, j, err)
-				}
-				t[j] = NewString(string(buf))
-			case TypeBool:
-				b, err := br.ReadByte()
-				if err != nil {
-					return nil, corruptf("truncated bool at tuple %d column %d: %v", i, j, err)
-				}
-				t[j] = NewBool(b != 0)
-			default:
-				return nil, corruptf("unknown value kind %d at tuple %d column %d", kind, i, j)
-			}
-		}
-		rel.Tuples = append(rel.Tuples, t)
-	}
-	return rel, nil
-}
-
-// byteReader pairs io.Reader with io.ByteReader for binary.ReadVarint.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-func byteReaderFrom(r io.Reader) byteReader {
-	if br, ok := r.(byteReader); ok {
-		return br
-	}
-	return &simpleByteReader{r: r}
-}
-
-type simpleByteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (s *simpleByteReader) Read(p []byte) (int, error) { return s.r.Read(p) }
-
-func (s *simpleByteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
-		return 0, err
-	}
-	return s.buf[0], nil
 }

@@ -264,32 +264,11 @@ func decodeFrameColumnar(schema Schema, payload []byte, count int) (*ColumnBatch
 
 // ReadBinaryColumnar deserialises a v2 stream into a ColumnBatch,
 // fanning frame decoding out over workers goroutines when workers > 1.
-// Unframed v1 streams decode through the row path and are converted.
 func ReadBinaryColumnar(r io.Reader, workers int) (*ColumnBatch, error) {
-	var word [4]byte
-	if _, err := io.ReadFull(r, word[:]); err != nil {
-		return nil, corruptf("truncated stream: %v", err)
-	}
-	first := binary.LittleEndian.Uint32(word[:])
-	if first != binaryMagic {
-		rel, err := readBinaryV1(r, first)
-		if err != nil {
-			return nil, err
-		}
-		return BatchFromRelation(rel), nil
-	}
-	if _, err := io.ReadFull(r, word[:]); err != nil {
-		return nil, corruptf("truncated column count: %v", err)
-	}
-	schema, err := readSchema(r, binary.LittleEndian.Uint32(word[:]))
+	schema, declared, err := readWireHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	var cnt [8]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, corruptf("truncated tuple count: %v", err)
-	}
-	declared := binary.LittleEndian.Uint64(cnt[:])
 	if workers > 1 {
 		return readColumnarParallel(r, schema, declared, workers)
 	}
@@ -337,9 +316,11 @@ func readColumnarSequential(r io.Reader, schema Schema, declared uint64) (*Colum
 	return out, nil
 }
 
-// readColumnarParallel mirrors readBatchesParallel: a reader goroutine
-// pulls frames while workers decode them out of order into mini-batches,
-// reassembled by sequence number and merged column-wise.
+// readColumnarParallel pipelines frame reading with decoding — the
+// paper's "read binary data in parallel" access method: a reader
+// goroutine pulls frames off the wire while workers decode them out of
+// order into mini-batches, reassembled by sequence number and merged
+// column-wise.
 func readColumnarParallel(r io.Reader, schema Schema, declared uint64, workers int) (*ColumnBatch, error) {
 	type frame struct {
 		seq     int

@@ -187,35 +187,6 @@ func TestBinaryOversizedRowRefusedOnEncode(t *testing.T) {
 	})
 }
 
-func TestBinaryV1CompatRoundTrip(t *testing.T) {
-	want := sampleRelation()
-	var buf bytes.Buffer
-	if err := want.WriteBinaryV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary on v1 stream: %v", err)
-	}
-	assertRelationsEqual(t, got, want)
-}
-
-func TestBinaryParallelMatchesSequential(t *testing.T) {
-	r := NewRelation(NewSchema(Col("i", TypeInt), Col("s", TypeString), Col("f", TypeFloat)))
-	for i := 0; i < 20_000; i++ {
-		_ = r.Append(Tuple{NewInt(int64(i)), NewString(strings.Repeat("a", i%13)), NewFloat(float64(i))})
-	}
-	var buf bytes.Buffer
-	if err := r.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinaryParallel(bytes.NewReader(buf.Bytes()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRelationsEqual(t, got, r)
-}
-
 func TestBinaryV2TruncationsError(t *testing.T) {
 	r := NewRelation(NewSchema(Col("i", TypeInt), Col("s", TypeString)))
 	for i := 0; i < 100; i++ {
@@ -237,6 +208,20 @@ func TestBinaryV2TruncationsError(t *testing.T) {
 	}
 }
 
+// formerV1Stream is a well-formed stream in the seed's unframed v1
+// layout (no magic: u32 column count, columns, u64 tuple count, values
+// in one run) — input every decoder used to accept and now must reject.
+func formerV1Stream() []byte {
+	var b []byte
+	b = appendU32(b, 1)             // ncols
+	b = append(b, byte(TypeInt))    // col type
+	b = appendU16(b, 1)             // name len
+	b = append(b, 'x')              // name
+	b = appendU64(b, 1)             // ntup
+	b = append(b, byte(TypeInt), 2) // one tuple: varint 1
+	return b
+}
+
 func TestBinaryCorruptStreamsError(t *testing.T) {
 	valid := func() []byte {
 		r := sampleRelation()
@@ -252,29 +237,21 @@ func TestBinaryCorruptStreamsError(t *testing.T) {
 			t.Error("empty input should fail")
 		}
 	})
-	t.Run("v1 junk", func(t *testing.T) {
+	t.Run("short non-magic junk", func(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3})); err == nil {
 			t.Error("short non-magic input should fail")
 		}
 	})
-	t.Run("huge v1 column count", func(t *testing.T) {
-		// No magic → first word is a v1 column count; over the bound.
+	t.Run("non-magic first word", func(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0x7f})); !errors.Is(err, errCorrupt) {
 			t.Errorf("got %v, want errCorrupt", err)
 		}
 	})
-	t.Run("v1 tuple count overclaims", func(t *testing.T) {
-		// v1 header claiming 2^40 tuples then ending: must error with
-		// context, not allocate or return partial garbage.
-		var b []byte
-		b = appendU32(b, 1)             // ncols
-		b = append(b, byte(TypeInt))    // col type
-		b = appendU16(b, 1)             // name len
-		b = append(b, 'x')              // name
-		b = appendU64(b, 1<<40)         // ntup — a lie
-		b = append(b, byte(TypeInt), 2) // one real tuple
-		if _, err := ReadBinary(bytes.NewReader(b)); !errors.Is(err, errCorrupt) {
-			t.Errorf("got %v, want errCorrupt", err)
+	t.Run("former v1 stream", func(t *testing.T) {
+		// A complete magic-less v1 relation is corrupt input now, not a
+		// one-row relation.
+		if rel, err := ReadBinary(bytes.NewReader(formerV1Stream())); !errors.Is(err, errCorrupt) {
+			t.Errorf("got %v (rel %v), want errCorrupt", err, rel)
 		}
 	})
 	t.Run("batch count over limit", func(t *testing.T) {
@@ -344,7 +321,7 @@ func TestBinaryCorruptStreamsError(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(b)); !errors.Is(err, errCorrupt) {
 			t.Errorf("sequential: got %v, want errCorrupt", err)
 		}
-		if _, err := ReadBinaryParallel(bytes.NewReader(b), 4); !errors.Is(err, errCorrupt) {
+		if _, err := ReadBinaryColumnar(bytes.NewReader(b), 4); !errors.Is(err, errCorrupt) {
 			t.Errorf("parallel: got %v, want errCorrupt", err)
 		}
 	})
@@ -369,7 +346,7 @@ func TestBinaryCorruptStreamsError(t *testing.T) {
 			if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
 				t.Errorf("cut at %d: sequential decode accepted truncated stream", cut)
 			}
-			if _, err := ReadBinaryParallel(bytes.NewReader(b), 4); err == nil {
+			if _, err := ReadBinaryColumnar(bytes.NewReader(b), 4); err == nil {
 				t.Errorf("cut at %d: parallel decode accepted truncated stream", cut)
 			}
 		}
@@ -378,7 +355,7 @@ func TestBinaryCorruptStreamsError(t *testing.T) {
 		b := valid()
 		off := frameHeaderOffset(t, b)
 		b[off+8] = 0xee
-		if _, err := ReadBinaryParallel(bytes.NewReader(b), 4); !errors.Is(err, errCorrupt) {
+		if _, err := ReadBinaryColumnar(bytes.NewReader(b), 4); !errors.Is(err, errCorrupt) {
 			t.Errorf("got %v, want errCorrupt", err)
 		}
 	})
@@ -413,18 +390,13 @@ func binary_putU64(b []byte, v uint64) {
 }
 
 // FuzzReadBinary asserts the decoder never panics and never hangs on
-// arbitrary input, for both the framed v2 and legacy v1 layouts.
+// arbitrary input.
 func FuzzReadBinary(f *testing.F) {
 	var v2 bytes.Buffer
 	if err := sampleRelation().WriteBinary(&v2); err != nil {
 		f.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := sampleRelation().WriteBinaryV1(&v1); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x42, 0x44, 0x57, 0x32}) // bare magic
 	// Partial-write shapes: streams cut exactly at the first frame

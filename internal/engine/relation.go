@@ -180,5 +180,6 @@ func (r *Relation) String() string {
 	return b.String()
 }
 
-// The binary wire format used by the direct CAST path lives in
-// binary.go (WriteBinary / ReadBinary / ReadBinaryParallel).
+// The binary wire format lives in binary.go (WriteBinary / ReadBinary,
+// the server's response codec) and binary_batch.go (the columnar codec
+// of the CAST pipe).

@@ -7,7 +7,9 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
@@ -366,6 +368,58 @@ func kvEntry(patient int, v float64) (e kvstoreEntry) {
 	return e
 }
 
+// CastViaCSV is E2's reference transport — the file-based
+// import/export the paper's direct binary cast is measured against,
+// kept here rather than as a mode of core.Cast: dump the object, write
+// it to a CSV file under dir (os.TempDir when empty), re-import the
+// file, load the result into the target engine as target. Bytes is the
+// file's size.
+func CastViaCSV(p *core.Polystore, object string, to core.EngineKind, target, dir string) (core.CastResult, error) {
+	start := time.Now()
+	res := core.CastResult{Object: object, To: to, Target: target}
+	rel, err := p.Dump(object)
+	if err != nil {
+		return res, err
+	}
+	f, err := os.CreateTemp(dir, "bigdawg_cast_*.csv")
+	if err != nil {
+		return res, err
+	}
+	path := f.Name()
+	defer os.Remove(path)
+	bw := bufio.NewWriter(f)
+	err = rel.WriteCSV(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return res, err
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return res, err
+	}
+	res.Bytes = fi.Size()
+	rf, err := os.Open(path)
+	if err != nil {
+		return res, err
+	}
+	out, err := engine.ReadCSV(bufio.NewReader(rf))
+	rf.Close()
+	if err != nil {
+		return res, err
+	}
+	if err := p.Load(to, target, out, core.CastOptions{}); err != nil {
+		return res, err
+	}
+	res.Rows = out.Len()
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
 // E2CastBinaryVsCSV measures CAST throughput via the direct binary
 // transport against file-based CSV import/export, by cardinality.
 func E2CastBinaryVsCSV(cfg Config) (Table, error) {
@@ -398,11 +452,11 @@ func E2CastBinaryVsCSV(cfg Config) (Table, error) {
 		// One untimed warm-up rep (page cache, allocator, goroutine pool),
 		// then best-of-N: the mean of cold and warm reps measured nothing
 		// but scheduler noise at quick sizes and made this table flaky.
-		timeCast := func(mode core.CastMode) (time.Duration, error) {
+		timeCast := func(cast func() (core.CastResult, error)) (time.Duration, error) {
 			const reps = 5
 			best := time.Duration(1<<63 - 1)
 			for i := 0; i <= reps; i++ {
-				res, err := p.Cast("src", core.EngineSciDB, core.CastOptions{Mode: mode})
+				res, err := cast()
 				if err != nil {
 					return 0, err
 				}
@@ -414,11 +468,15 @@ func E2CastBinaryVsCSV(cfg Config) (Table, error) {
 			}
 			return best, nil
 		}
-		db, err := timeCast(core.CastDirect)
+		db, err := timeCast(func() (core.CastResult, error) {
+			return p.Cast("src", core.EngineSciDB, core.CastOptions{})
+		})
 		if err != nil {
 			return t, err
 		}
-		dc, err := timeCast(core.CastCSVFile)
+		dc, err := timeCast(func() (core.CastResult, error) {
+			return CastViaCSV(p, "src", core.EngineSciDB, "src_csv", "")
+		})
 		if err != nil {
 			return t, err
 		}

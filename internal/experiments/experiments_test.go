@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // The experiments are exercised end-to-end by the root-level
@@ -55,6 +58,45 @@ func TestE2BinaryBeatsCSV(t *testing.T) {
 		if binary >= csv {
 			t.Errorf("row %d: binary %.3fms should beat csv %.3fms", i, binary, csv)
 		}
+	}
+}
+
+// TestCastModesEquivalent checks E2's file-based reference lands the
+// same copy as the direct binary cast it is timed against.
+func TestCastModesEquivalent(t *testing.T) {
+	p := core.New()
+	rel := engine.NewRelation(engine.NewSchema(
+		engine.Col("id", engine.TypeInt), engine.Col("name", engine.TypeString), engine.Col("age", engine.TypeInt)))
+	for i, name := range []string{"alice", "bob", "carol"} {
+		_ = rel.Append(engine.Tuple{engine.NewInt(int64(i + 1)), engine.NewString(name), engine.NewInt(int64(70 - 7*i))})
+	}
+	if err := p.Load(core.EnginePostgres, "patients", rel, core.CastOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := p.Cast("patients", core.EngineSciDB, core.CastOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := CastViaCSV(p, "patients", core.EngineSciDB, "patients_csv", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Rows != csv.Rows || direct.Rows != 3 {
+		t.Errorf("cast modes rows: %d vs %d", direct.Rows, csv.Rows)
+	}
+	if direct.Bytes <= 0 || csv.Bytes <= 0 {
+		t.Errorf("cast byte accounting: %d %d", direct.Bytes, csv.Bytes)
+	}
+	d1, err := p.Dump(direct.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := p.Dump(csv.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1.String() != d2.String() {
+		t.Errorf("cast modes produced different data:\n%s\nvs\n%s", d1, d2)
 	}
 }
 

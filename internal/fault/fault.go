@@ -130,10 +130,6 @@ func Reset() {
 	mu.Unlock()
 }
 
-// Active reports whether any failpoint is armed. Code may branch on it
-// to take an instrumented (e.g. split-load) path only under injection.
-func Active() bool { return armed.Load() > 0 }
-
 // Hit evaluates the named failpoint at a call site. When nothing is
 // armed it costs one atomic load and returns nil.
 func Hit(name string) error {

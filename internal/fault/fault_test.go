@@ -13,8 +13,8 @@ func TestDisarmedHitIsNil(t *testing.T) {
 	if err := Hit("nothing.armed"); err != nil {
 		t.Fatalf("disarmed hit errored: %v", err)
 	}
-	if Active() {
-		t.Fatal("Active with nothing armed")
+	if n := armed.Load(); n != 0 {
+		t.Fatalf("armed count %d with nothing armed", n)
 	}
 }
 

@@ -207,6 +207,27 @@ func TestReadResponseRejectsOversizedText(t *testing.T) {
 	}
 }
 
+// TestReadResponseRejectsMagiclessRelation feeds the response decoder a
+// well-formed relation in the seed's magic-less v1 layout, which the
+// engine codec once accepted off the network: it is a protocol error
+// now, in a relation frame and behind an explain report alike.
+func TestReadResponseRejectsMagiclessRelation(t *testing.T) {
+	v1 := binary.LittleEndian.AppendUint32(nil, 1)   // ncols
+	v1 = append(v1, byte(engine.TypeInt), 1, 0, 'x') // type, name len, name
+	v1 = binary.LittleEndian.AppendUint64(v1, 1)     // ntup
+	v1 = append(v1, byte(engine.TypeInt), 2)         // one tuple: varint 1
+	explain := append([]byte{StatusExplain}, binary.LittleEndian.AppendUint32(nil, 2)...)
+	explain = append(explain, 'o', 'k')
+	for name, frame := range map[string][]byte{
+		"relation": append([]byte{StatusRelation}, v1...),
+		"explain":  append(explain, v1...),
+	} {
+		if resp, err := ReadResponse(bytes.NewReader(frame)); err == nil || !IsProtocolError(err) {
+			t.Errorf("%s frame: magic-less relation accepted: %+v, %v", name, resp, err)
+		}
+	}
+}
+
 // FuzzReadRequest feeds arbitrary bytes to the request decoder. Every
 // outcome must be a clean decode (which must then re-encode and decode
 // to the same request) or a typed protocol error; panics and
