@@ -8,8 +8,6 @@
 //	bigdawg -serve :4250 [-max-concurrent 16] [-max-queue 32] [-drain-timeout 15s]
 //	bigdawg -serve :4251 -shard 0/2                      — shard server 0 of 2
 //	bigdawg -serve :4250 -join 127.0.0.1:4251,127.0.0.1:4252 — scatter-gather coordinator
-//	bigdawg -bench-serve [-bench-clients 64] [-bench-duration 3s] [-bench-out BENCH_serve.json]
-//	bigdawg -bench-shard [-bench-shard-counts 1,2,4] [-bench-shard-out BENCH_shard.json]
 //	> POSTGRES(SELECT COUNT(*) FROM patients)
 //	> RELATIONAL(SELECT * FROM CAST(waveforms, relation) WHERE v > 1.5 LIMIT 5)
 //	> TEXT(search(notes, 'very sick', 3))
@@ -32,10 +30,9 @@
 // BDWQ wire protocol. -shard/-join (shard.go) turn a set of such
 // servers into a sharded federation: N shard servers each holding one
 // hash partition of every relational table, and a coordinator that
-// scatters queries across them and merges. -bench-serve runs the
-// closed-loop load driver (benchserve.go) against an in-process server
-// and exits; -bench-shard sweeps the coordinator + N shards topology
-// across shard counts and writes the scaling curve (benchshard.go).
+// scatters queries across them and merges. Load and scaling numbers
+// come from the polystore benchmark (bash benchmark/run.sh), which
+// drives these same server and shard topologies.
 package main
 
 import (
@@ -61,19 +58,6 @@ func main() {
 	monitorAddr := flag.String("monitor", "", "serve expvar and pprof on this address (e.g. :6060)")
 	slow := flag.Duration("slow", 0, "log queries slower than this with their span tree (0 disables)")
 	flag.Parse()
-
-	if *benchServe {
-		if err := runBenchServe(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *benchShard {
-		if err := runBenchShard(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	cfg := mimic.DefaultConfig()
 	cfg.Patients = *patients

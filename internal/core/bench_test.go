@@ -4,9 +4,9 @@ package core
 // is the acceptance case from the planner's design: a 6-column table,
 // a ≤10% selective predicate, 2 referenced columns — pushdown should
 // move ~5x+ fewer bytes and finish correspondingly faster than the
-// migrate-everything baseline. bench.sh snapshots these numbers into
-// BENCH_cast_pushdown.json; wire_bytes/op is the custom metric that
-// records CastResult.Bytes.
+// migrate-everything baseline. wire_bytes/op is the custom metric that
+// records CastResult.Bytes. Run with
+// go test ./internal/core -run '^$' -bench . -benchmem.
 
 import (
 	"context"
@@ -92,9 +92,9 @@ func BenchmarkQueryPushdown(b *testing.B) {
 }
 
 // BenchmarkFaultHitDisarmed prices a failpoint call site when nothing
-// is armed — the cost every production cast pays per Hit. bench.sh
-// --fault snapshots it into BENCH_fault.json; it must stay at a single
-// atomic load (~1ns), i.e. zero against cast latency.
+// is armed — the cost every production cast pays per Hit. It must stay
+// at a single atomic load (~1ns), i.e. zero against cast latency;
+// fault.TestFailpointsDisarmedZeroAlloc gates the allocation half.
 func BenchmarkFaultHitDisarmed(b *testing.B) {
 	fault.Reset()
 	for i := 0; i < b.N; i++ {
@@ -120,8 +120,8 @@ func BenchmarkFaultWrapDisarmed(b *testing.B) {
 
 // BenchmarkFaultCastDisarmed runs the acceptance-scenario 10k-row full
 // cast with the failpoint suite idle. Its ns/op is directly comparable
-// to BenchmarkCastPushdown/rows=10000/full in BENCH_cast_pushdown.json:
-// the two must sit within run-to-run noise of each other, proving the
+// to BenchmarkCastPushdown/rows=10000/full in the same run: the two
+// must sit within run-to-run noise of each other, proving the
 // injected failpoints cost nothing when disabled.
 func BenchmarkFaultCastDisarmed(b *testing.B) {
 	fault.Reset()
@@ -145,8 +145,7 @@ func BenchmarkFaultCastDisarmed(b *testing.B) {
 // every trace.Start site is one context.Value miss and every span
 // method a nil check — and must sit within run-to-run noise of
 // BenchmarkFaultCastDisarmed. trace=on carries a live trace, pricing
-// the full span tree. bench.sh --obs snapshots the pair into
-// BENCH_obs.json.
+// the full span tree.
 func BenchmarkObsCast(b *testing.B) {
 	for _, traced := range []bool{false, true} {
 		name := "trace=off"
@@ -178,8 +177,8 @@ func BenchmarkObsCast(b *testing.B) {
 }
 
 // BenchmarkObsQuery is the same pair for the end-to-end island query —
-// parse, plan, pushdown cast, execute — so BENCH_obs.json prices the
-// instrumentation against the full QueryCtx path too.
+// parse, plan, pushdown cast, execute — pricing the instrumentation
+// against the full QueryCtx path too.
 func BenchmarkObsQuery(b *testing.B) {
 	const q = `RELATIONAL(SELECT a, b FROM CAST(big, relation) WHERE a < 10)`
 	for _, traced := range []bool{false, true} {

@@ -1,13 +1,13 @@
 package core
 
 // The seeded federation generator behind the randomized differential
-// harnesses (equiv_test.go, chaos_test.go) and the server load driver
-// (cmd/bigdawg -bench-serve): one rand.Rand source fully determines a
-// small federation — random schemas, random rows, random engine
-// placement — plus a batch of cross-island SCOPE/CAST queries over it.
-// Tests use it to compare execution configurations; the load driver
-// uses it so concurrent-client benchmarks exercise the same query
-// shapes the correctness harnesses pin.
+// harnesses (equiv_test.go, chaos_test.go, and internal/server's
+// concurrent-client and sharded-topology suites): one rand.Rand source
+// fully determines a small federation — random schemas, random rows,
+// random engine placement — plus a batch of cross-island SCOPE/CAST
+// queries over it, so every harness compares execution configurations
+// on the same query shapes. Only tests call it; it stays a non-test
+// file because internal/server's tests import it from this package.
 
 import (
 	"fmt"

@@ -148,54 +148,23 @@ func (p *Polystore) resolveCasts(ctx context.Context, body string) (string, []st
 // resolveCastsBudget is resolveCasts with an explicit CAST budget:
 // planners that already executed some of the body's CAST terms pass
 // the remainder, so a query resolves exactly maxCastsPerQuery terms —
-// and errors on one more — whether or not pushdown planned it.
+// and errors on one more — whether or not pushdown planned it. It is
+// the planner's own lift (extractCasts) with every pending cast run in
+// full, so both paths agree on parsing, naming and CastStats.
 func (p *Polystore) resolveCastsBudget(ctx context.Context, body string, budget int) (string, []string, error) {
+	rewritten, pend, err := p.extractCasts(ctx, body, budget)
+	if err != nil {
+		return "", nil, err
+	}
 	var temps []string
-	for resolved := 0; ; resolved++ {
-		start, end, ok := findCall(body, "CAST", 0)
-		if !ok {
-			return body, temps, nil
-		}
-		if resolved >= budget {
-			// Same boundary as extractCasts: exactly maxCastsPerQuery CAST
-			// terms resolve, one more errors — on both planner paths.
-			break
-		}
-		inner := body[start+len("CAST(") : end-1]
-		args := splitTopArgs(inner)
-		if len(args) != 2 {
-			return "", temps, fmt.Errorf("core: CAST takes (object, target), got %q", inner)
-		}
-		target, err := castTargetEngine(args[1])
+	for _, pc := range pend {
+		tmp, err := p.runCast(ctx, pc, CastOptions{})
+		temps = append(temps, tmp)
 		if err != nil {
 			return "", temps, err
 		}
-		src := strings.TrimSpace(args[0])
-		var castName string
-		if looksLikeIslandQuery(src) {
-			// Nested island query: execute, then load the result.
-			rel, err := p.QueryCtx(ctx, src)
-			if err != nil {
-				return "", temps, err
-			}
-			castName = p.tempName("subq")
-			temps = append(temps, castName)
-			if err := p.LoadCtx(ctx, target, castName, rel, CastOptions{}); err != nil {
-				return "", temps, err
-			}
-		} else {
-			res, err := p.CastCtx(ctx, src, target, CastOptions{})
-			if res.Target != "" {
-				temps = append(temps, res.Target)
-			}
-			if err != nil {
-				return "", temps, err
-			}
-			castName = res.Target
-		}
-		body = body[:start] + castName + body[end:]
 	}
-	return "", temps, fmt.Errorf("core: too many nested CASTs")
+	return rewritten, temps, nil
 }
 
 func looksLikeIslandQuery(s string) bool {

@@ -92,7 +92,7 @@ func (p *Polystore) CastCtx(ctx context.Context, object string, to EngineKind, o
 	// A sharded source is first gathered from its shards into a local
 	// temp copy (original row order restored), then cast normally; the
 	// temp is reclaimed before returning.
-	if _, sharded := p.placementOf(object); sharded {
+	if _, sharded := p.PlacementOf(object); sharded {
 		tmp, err := p.gatherToTemp(ctx, object)
 		if tmp != "" {
 			defer p.dropTempObjects([]string{tmp})

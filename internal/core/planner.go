@@ -31,8 +31,7 @@ import (
 // to full migration. Polystore.SetPushdown(false) disables the planner
 // entirely (the randomized equivalence harness diffs the two paths).
 
-// maxCastsPerQuery bounds CAST terms per body, matching resolveCasts'
-// depth guard.
+// maxCastsPerQuery bounds CAST terms per body.
 const maxCastsPerQuery = 32
 
 // prepareBody resolves the CAST terms of an island body, with pushdown
@@ -71,8 +70,9 @@ type pendingCast struct {
 // extractCasts rewrites every CAST(src, target) in body to a fresh
 // placeholder identifier, returning the rewritten body and the pending
 // casts. Nested island-query sources are executed here (their schema is
-// needed for analysis and they must run exactly once).
-func (p *Polystore) extractCasts(ctx context.Context, body string) (string, []*pendingCast, error) {
+// needed for analysis and they must run exactly once). At most budget
+// terms lift; one more is an error.
+func (p *Polystore) extractCasts(ctx context.Context, body string, budget int) (string, []*pendingCast, error) {
 	var pend []*pendingCast
 	from := 0
 	for {
@@ -80,10 +80,9 @@ func (p *Polystore) extractCasts(ctx context.Context, body string) (string, []*p
 		if !ok {
 			return body, pend, nil
 		}
-		if len(pend) >= maxCastsPerQuery {
+		if len(pend) >= budget {
 			// Error before touching the over-limit term: its source may be
-			// a nested island query, and a rejected statement must not run
-			// migrations the planner-off path would never start.
+			// a nested island query, which a rejected statement must not run.
 			return body, pend, fmt.Errorf("core: too many nested CASTs")
 		}
 		inner := body[start+len("CAST(") : end-1]
@@ -143,7 +142,7 @@ func (p *Polystore) planRelational(ctx context.Context, body string) (string, []
 	if _, _, ok := findCall(body, "CAST", 0); !ok {
 		return body, nil, nil // no CASTs; shims get their own pushdown
 	}
-	rewritten, pend, err := p.extractCasts(ctx, body)
+	rewritten, pend, err := p.extractCasts(ctx, body, maxCastsPerQuery)
 	var temps []string
 	if err != nil {
 		return rewritten, temps, err
@@ -698,17 +697,6 @@ func (p *Polystore) dropTempObjects(names []string) {
 			continue
 		}
 		p.Deregister(name)
-		switch info.Engine {
-		case EnginePostgres:
-			_ = p.Relational.DropTable(info.Physical)
-		case EngineSciDB:
-			_ = p.ArrayStore.Remove(info.Physical)
-		case EngineAccumulo:
-			_ = p.KV.DropTable(info.Physical)
-		case EngineTileDB:
-			p.mu.Lock()
-			delete(p.tile, strings.ToLower(info.Physical))
-			p.mu.Unlock()
-		}
+		p.dropPhysical(info.Engine, info.Physical)
 	}
 }

@@ -273,6 +273,26 @@ func TestCastPredicateEdgeAccounting(t *testing.T) {
 	}
 }
 
+// CastStats counts every landed CAST the same whether the planner is
+// on or off: on an island without pushdown (D4M) a body with one
+// named-source and one nested-source CAST moves pushed+full by 2 both
+// ways. The planner-off lifter used to load nested sources without
+// counting them.
+func TestCastStatsPlannerParity(t *testing.T) {
+	const q = `D4M(add(assoc(CAST(patients, relation), name, name, age), ` +
+		`assoc(CAST(POSTGRES(SELECT name, age FROM patients), relation), name, name, age)))`
+	for _, pushdown := range []bool{true, false} {
+		p := demoStore(t)
+		p.SetPushdown(pushdown)
+		if _, err := p.Query(q); err != nil {
+			t.Fatalf("pushdown=%v: %v", pushdown, err)
+		}
+		if pushed, full := p.CastStats(); pushed+full != 2 {
+			t.Errorf("pushdown=%v: pushed=%d full=%d, want 2 casts counted", pushdown, pushed, full)
+		}
+	}
+}
+
 // TileDB targets reject a cast predicate outright: their load is
 // lossy (dims AsInt-coerced, collisions overwritten) and has no
 // cell-faithful filter, so raw-row pre-filtering would land wrong cells.

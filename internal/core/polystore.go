@@ -307,7 +307,7 @@ func (p *Polystore) tempName(prefix string) string {
 // lives in — the universal egress half of CAST. Sharded objects are
 // gathered from their shards in original row order.
 func (p *Polystore) Dump(name string) (*engine.Relation, error) {
-	if _, sharded := p.placementOf(name); sharded {
+	if _, sharded := p.PlacementOf(name); sharded {
 		return p.gatherObject(context.Background(), name)
 	}
 	info, ok := p.Lookup(name)

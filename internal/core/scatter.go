@@ -206,7 +206,7 @@ func (p *Polystore) scatterExecute(ctx context.Context, island Island, body stri
 // and reassembles the original relation, in original row order, without
 // the hidden position column.
 func (p *Polystore) gatherObject(ctx context.Context, name string) (*engine.Relation, error) {
-	pl, ok := p.placementOf(name)
+	pl, ok := p.PlacementOf(name)
 	if !ok {
 		return nil, fmt.Errorf("core: object %q is not sharded", name)
 	}
@@ -278,7 +278,7 @@ func (p *Polystore) inlineRelationalCasts(body string) (string, bool) {
 			return "", false
 		}
 		src := strings.TrimSpace(args[0])
-		if _, sharded := p.placementOf(src); !sharded {
+		if _, sharded := p.PlacementOf(src); !sharded {
 			return "", false
 		}
 		if eng, err := castTargetEngine(args[1]); err != nil || eng != EnginePostgres {
@@ -307,7 +307,7 @@ func (p *Polystore) tryScatterPushdown(ctx context.Context, island Island, body 
 		return nil, false, nil
 	}
 	name := names[0]
-	pl, ok := p.placementOf(name)
+	pl, ok := p.PlacementOf(name)
 	if !ok {
 		return nil, false, nil
 	}

@@ -237,7 +237,7 @@ func TestCastCountGuardBoundary(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("resolveCasts with %d CAST terms: err=%v, want ok=%v", tc.n, err, tc.ok)
 		}
-		_, pend, err := p.extractCasts(context.Background(), body(tc.n))
+		_, pend, err := p.extractCasts(context.Background(), body(tc.n), maxCastsPerQuery)
 		for _, pc := range pend {
 			//lint:ignore templeak per-iteration cleanup in a bounded table-driven loop; a defer would pile temps up until the test returns
 			p.dropTempObjects([]string{pc.placeholder})

@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -92,11 +93,34 @@ func TestPartialWriteTruncatesAtOffset(t *testing.T) {
 	}
 }
 
-func TestWrapIsIdentityWhenDisarmed(t *testing.T) {
+// TestFailpointsDisarmedZeroAlloc pins "failpoints are free when
+// nothing is armed": Hit and a write through Wrap allocate nothing, and
+// Wrap hands back the very writer it was given. Arming an unrelated
+// point makes other names take the slow path, which must still be nil.
+func TestFailpointsDisarmedZeroAlloc(t *testing.T) {
+	defer Reset()
 	Reset()
-	var sink bytes.Buffer
-	if w := Wrap("w", &sink); w != any(&sink) {
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := Hit("idle.point"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("disarmed Hit: %v allocs/op, want 0", n)
+	}
+	if w := Wrap("idle.write", io.Discard); w != io.Discard {
 		t.Fatal("Wrap should return the writer unchanged when nothing is armed")
+	}
+	buf := make([]byte, 512)
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := Wrap("idle.write", io.Discard).Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("disarmed Wrap+Write: %v allocs/op, want 0", n)
+	}
+	Arm(Spec{Point: "elsewhere", Mode: ModeError})
+	if err := Hit("idle.point"); err != nil {
+		t.Fatalf("Hit on an unarmed name with another point armed: %v", err)
 	}
 }
 
