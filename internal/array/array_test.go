@@ -206,6 +206,41 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
+// TestAggregateDenseMatchesSparse pins the dense SUM/AVG/COUNT loop to
+// the generic path: INT, NULL and NaN cells and an unfilled cell count
+// exactly as aggAcc.add counts them.
+func TestAggregateDenseMatchesSparse(t *testing.T) {
+	cells := []engine.Value{engine.NewFloat(1.5), engine.NewInt(2), engine.Null,
+		engine.NewFloat(math.NaN()), engine.NewString("4.25"), engine.NewFloat(-0.5)}
+	var arrs []*Array
+	for _, dense := range []bool{true, false} {
+		a, err := New("a", []Dim{{Name: "i", Low: 0, High: int64(len(cells))}},
+			[]engine.Column{engine.Col("v", engine.TypeFloat)}, dense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range cells { // cell len(cells) stays unfilled
+			if err := a.Set([]int64{int64(i)}, engine.Tuple{v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		arrs = append(arrs, a)
+	}
+	for _, kind := range []AggKind{AggSum, AggAvg, AggCount} {
+		d, err := arrs[0].Aggregate(kind, "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := arrs[1].Aggregate(kind, "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engine.Compare(d, s) != 0 || d.Kind != s.Kind {
+			t.Errorf("%s: dense %v, sparse %v", kind, d, s)
+		}
+	}
+}
+
 func TestAggregateBy(t *testing.T) {
 	a := mk2D(t, "m", [][]float64{{1, 2, 3}, {4, 5, 6}}, true)
 	rowSums, err := a.AggregateBy(AggSum, "v", "r")

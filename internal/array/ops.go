@@ -204,6 +204,30 @@ func (a *Array) Aggregate(kind AggKind, attr string) (engine.Value, error) {
 	if a.dense {
 		// Tight loop over the attribute vector: the array engine's edge.
 		col := a.data[ai]
+		if kind == AggAvg || kind == AggSum || kind == AggCount {
+			// These need only the count and sum, so skip add's square
+			// and min/max updates, and read FLOAT cells without a call.
+			// NaN (and NULL) cells are skipped as in add.
+			col = col[:len(a.filled)]
+			var n int64
+			var sum float64
+			for idx, ok := range a.filled {
+				if !ok {
+					continue
+				}
+				v := &col[idx]
+				f := v.F
+				if v.Kind != engine.TypeFloat {
+					f = v.AsFloat()
+				}
+				if f == f {
+					n++
+					sum += f
+				}
+			}
+			ac.n, ac.sum = n, sum
+			return ac.result(), nil
+		}
 		for idx, ok := range a.filled {
 			if ok {
 				ac.add(col[idx].AsFloat())

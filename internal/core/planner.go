@@ -177,13 +177,14 @@ func (p *Polystore) planRelational(ctx context.Context, body string) (string, []
 	return rewritten, temps, nil
 }
 
-// pdTable is one FROM/JOIN table as the pushdown analysis sees it.
+// pdTable is one FROM/JOIN table as the pushdown analysis sees it;
+// analyzeTables lists the FROM table first and then each JOIN in order,
+// so a table's index is its input number for relational.SplitBelowJoin.
 type pdTable struct {
-	name       string // lower-cased table name as written
-	alias      string // lower-cased alias (table name when unaliased)
-	schema     engine.Schema
-	known      bool
-	leftJoined bool // right side of a LEFT JOIN: no predicate pushdown
+	name   string // lower-cased table name as written
+	alias  string // lower-cased alias (table name when unaliased)
+	schema engine.Schema
+	known  bool
 }
 
 // analyzeTables resolves the schema of every table referenced by the
@@ -194,8 +195,8 @@ func (p *Polystore) analyzeTables(sel *relational.Select, pend []*pendingCast) [
 	for _, pc := range pend {
 		byPlaceholder[strings.ToLower(pc.placeholder)] = pc
 	}
-	add := func(ref relational.TableRef, left bool) pdTable {
-		t := pdTable{name: strings.ToLower(ref.Name), alias: strings.ToLower(ref.Alias), leftJoined: left}
+	add := func(ref relational.TableRef) pdTable {
+		t := pdTable{name: strings.ToLower(ref.Name), alias: strings.ToLower(ref.Alias)}
 		if t.alias == "" {
 			t.alias = t.name
 		}
@@ -214,10 +215,10 @@ func (p *Polystore) analyzeTables(sel *relational.Select, pend []*pendingCast) [
 	}
 	var tables []pdTable
 	if sel.From != nil {
-		tables = append(tables, add(*sel.From, false))
+		tables = append(tables, add(*sel.From))
 	}
 	for _, j := range sel.Joins {
-		tables = append(tables, add(j.Table, j.Kind == relational.JoinLeft))
+		tables = append(tables, add(j.Table))
 	}
 	return tables
 }
@@ -334,77 +335,20 @@ func computePushdown(sel *relational.Select, tables []pdTable, ti int) (string, 
 		}
 	}
 
-	// Predicate: WHERE conjuncts wholly owned by the target.
-	if target.leftJoined {
-		return "", cols // padding semantics forbid pre-filtering
-	}
-	// Pushing a conjunct shrinks the set of rows (and join pairs) the
-	// island evaluates the *remaining* WHERE and ON expressions on, so
-	// every one of them must be unable to error: the baseline evaluates
-	// `10 / t` on the t=0 row that a pushed `t <> 0` would have removed,
-	// and planner-on must not succeed where planner-off raises. One
-	// error-prone expression anywhere in WHERE or ON therefore disables
-	// predicate pushdown for the whole statement (projection is
-	// unaffected — it never removes rows).
-	for _, c := range relational.SplitConjuncts(sel.Where) {
-		if !errorFreeExpr(c) {
-			return "", cols
-		}
-	}
-	for _, j := range sel.Joins {
-		if j.On != nil && !errorFreeExpr(j.On) {
-			return "", cols
-		}
-	}
+	// Predicate: the WHERE conjuncts the executor's own rule would run
+	// below the joins on the target — wholly owned by it, never on the
+	// padded side of a LEFT JOIN, and only when nothing in WHERE or ON
+	// can error (the baseline evaluates `10 / t` on the t=0 row a pushed
+	// `t <> 0` would have removed). Projection is unaffected: it never
+	// removes rows.
+	below, _ := relational.SplitBelowJoin(sel.Where, sel.Joins, ti, func(cr relational.ColumnRef) (bool, bool) {
+		return ownerOf(cr) == ti && target.schema.Index(cr.Name) >= 0, true
+	})
 	var pushed []string
-	for _, c := range relational.SplitConjuncts(sel.Where) {
-		ok := true
-		relational.WalkColumnRefs(c, func(cr relational.ColumnRef) {
-			if ownerOf(cr) != ti || target.schema.Index(cr.Name) < 0 {
-				ok = false
-			}
-		})
-		if ok {
-			pushed = append(pushed, relational.FormatExpr(relational.StripQualifiers(c)))
-		}
+	for _, c := range below {
+		pushed = append(pushed, relational.FormatExpr(relational.StripQualifiers(c)))
 	}
 	return strings.Join(pushed, " AND "), cols
-}
-
-// errorFreeExpr reports whether the expression can be evaluated on any
-// row without raising an error. The island evaluates WHERE with
-// short-circuiting (a guard like `d <> 0 AND 10/d > 1` protects the
-// division); a pushed conjunct is evaluated on *every* source row, so
-// anything that can error — division, modulo, scalar function calls —
-// stays behind.
-func errorFreeExpr(e relational.Expr) bool {
-	switch ex := e.(type) {
-	case relational.Literal, relational.ColumnRef, nil:
-		return true
-	case relational.BinaryExpr:
-		if ex.Op == "/" || ex.Op == "%" {
-			return false
-		}
-		return errorFreeExpr(ex.Left) && errorFreeExpr(ex.Right)
-	case relational.UnaryExpr:
-		return errorFreeExpr(ex.Expr)
-	case relational.InExpr:
-		if !errorFreeExpr(ex.Expr) {
-			return false
-		}
-		for _, a := range ex.List {
-			if !errorFreeExpr(a) {
-				return false
-			}
-		}
-		return true
-	case relational.IsNullExpr:
-		return errorFreeExpr(ex.Expr)
-	case relational.BetweenExpr:
-		return errorFreeExpr(ex.Expr) && errorFreeExpr(ex.Lo) && errorFreeExpr(ex.Hi)
-	default:
-		return false // FuncCall and anything unknown
-	}
 }
 
 // ---------- ARRAY / SCIDB island ----------

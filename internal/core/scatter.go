@@ -133,8 +133,6 @@ func (p *Polystore) PlacementOf(name string) (Placement, bool) {
 	return pl, ok
 }
 
-func (p *Polystore) placementOf(name string) (Placement, bool) { return p.PlacementOf(name) }
-
 // shardedRefs lists the sharded objects a body mentions (whole-word,
 // case-insensitive, outside quotes), sorted for determinism.
 func (p *Polystore) shardedRefs(body string) []string {

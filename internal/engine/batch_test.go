@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 )
 
@@ -107,33 +109,60 @@ func TestBatchAppendBatch(t *testing.T) {
 
 // TestBatchBinaryWireCompat pins the key codec property: a stream
 // written from a ColumnBatch is byte-identical to one written from the
-// equivalent Relation, and either decoder accepts either stream.
+// equivalent Relation, and either decoder accepts either stream — on
+// both sides of the 4096-tuple frame bound and across several frames.
 func TestBatchBinaryWireCompat(t *testing.T) {
-	rel := batchSampleRel(9000) // multiple frames
+	for _, rows := range []int{0, 1, 4095, 4096, 9000, 10000} {
+		rel := batchSampleRel(rows)
+		cb := BatchFromRelation(rel)
+
+		var fromRel, fromBatch bytes.Buffer
+		if err := rel.WriteBinary(&fromRel); err != nil {
+			t.Fatal(err)
+		}
+		if err := cb.WriteBinary(&fromBatch); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fromRel.Bytes(), fromBatch.Bytes()) {
+			t.Fatalf("%d rows: batch encoder produced different bytes than the relation encoder", rows)
+		}
+
+		rowDecoded, err := ReadBinary(bytes.NewReader(fromBatch.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		relationsEqual(t, rel, rowDecoded)
+
+		colDecoded, err := ReadBinaryColumnar(bytes.NewReader(fromRel.Bytes()), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relationsEqual(t, rel, colDecoded.ToRelation())
+	}
+}
+
+// TestEncodeSmallAllocs pins the encoders' scratch buffer to the
+// stream's size: a one-row answer must not pay for a full frame.
+func TestEncodeSmallAllocs(t *testing.T) {
+	rel := batchSampleRel(1)
 	cb := BatchFromRelation(rel)
-
-	var fromRel, fromBatch bytes.Buffer
-	if err := rel.WriteBinary(&fromRel); err != nil {
-		t.Fatal(err)
+	for name, encode := range map[string]func() error{
+		"relation": func() error { return rel.WriteBinary(io.Discard) },
+		"batch":    func() error { return cb.WriteBinary(io.Discard) },
+	} {
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := encode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 4<<10 {
+			t.Errorf("%s: one-row encode allocates %d B, want < 4 KiB", name, perCall)
+		}
 	}
-	if err := cb.WriteBinary(&fromBatch); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromRel.Bytes(), fromBatch.Bytes()) {
-		t.Fatal("batch encoder produced different bytes than the relation encoder")
-	}
-
-	rowDecoded, err := ReadBinary(bytes.NewReader(fromBatch.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	relationsEqual(t, rel, rowDecoded)
-
-	colDecoded, err := ReadBinaryColumnar(bytes.NewReader(fromRel.Bytes()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relationsEqual(t, rel, colDecoded.ToRelation())
 }
 
 func TestReadBinaryColumnarParallel(t *testing.T) {

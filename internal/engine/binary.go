@@ -128,6 +128,16 @@ func writeWireHeader(w io.Writer, schema Schema, ntuples int) error {
 	return err
 }
 
+// framePayloadCap sizes an encoder's reused frame buffer: a full frame
+// (plus one row of overshoot) for a stream that fills frames, else an
+// estimate of ~10 bytes per value, which append grows if strings run
+// long. Frames flush on batchTargetBytes/batchMaxTuples either way, so
+// the bytes on the wire do not depend on it — a one-row answer just
+// stops paying for a 68 KiB buffer.
+func framePayloadCap(rows, cols int) int {
+	return min(batchTargetBytes+4096, rows*(cols*10+1)+16)
+}
+
 // WriteBinary serialises the relation to w in the direct-CAST v2 format:
 // the header (schema plus declared tuple count), then tuple batches
 // flushed in ~64KiB frames from a reused scratch buffer, then the
@@ -137,7 +147,7 @@ func (r *Relation) WriteBinary(w io.Writer) error {
 		return err
 	}
 
-	payload := make([]byte, 0, batchTargetBytes+4096)
+	payload := make([]byte, 0, framePayloadCap(len(r.Tuples), len(r.Schema.Columns)))
 	var hdr [8]byte
 	flush := func(count int) error {
 		if err := fault.Hit(FpEncodeFrame); err != nil {

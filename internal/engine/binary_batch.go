@@ -26,7 +26,7 @@ func (cb *ColumnBatch) WriteBinary(w io.Writer) error {
 		return err
 	}
 
-	payload := make([]byte, 0, batchTargetBytes+4096)
+	payload := make([]byte, 0, framePayloadCap(cb.NumRows, ncols))
 	var hdr [8]byte
 	flush := func(count int) error {
 		if err := fault.Hit(FpEncodeFrame); err != nil {

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
@@ -90,6 +91,13 @@ func BenchmarkFilterScan(b *testing.B) {
 			benchRowVec(b, rows, nil, `SELECT id FROM t WHERE v > 700.0 AND grp < 25`)
 		})
 	}
+}
+
+// BenchmarkFilterAdapter times a WHERE no selection kernel takes: a
+// column compared with a column, under OR, through the eval-then-compact
+// adapter.
+func BenchmarkFilterAdapter(b *testing.B) {
+	benchRowVec(b, 100_000, nil, `SELECT id FROM t WHERE v > grp OR label = 'label_3'`)
 }
 
 func BenchmarkGroupByAggregate(b *testing.B) {
@@ -206,5 +214,58 @@ func BenchmarkParse(b *testing.B) {
 		if _, err := Parse(sql); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRelAnalytic runs the four query shapes of the benchmark's
+// rel_analytic workload in-process on the vectorized executor over the
+// same table layout: 200k facts rows, 1000 dims rows.
+func BenchmarkRelAnalytic(b *testing.B) {
+	const facts, dims = 200_000, 1000
+	db := NewDB()
+	for _, ddl := range []string{
+		`CREATE TABLE facts (id INT, dim_id INT, grp INT, y INT, x FLOAT, tag TEXT)`,
+		`CREATE TABLE dims (dim_id INT, region TEXT, weight INT)`,
+	} {
+		if _, err := db.Execute(ddl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	ft, _ := db.table("facts")
+	for i := 0; i < facts; i++ {
+		if err := ft.insert(engine.Tuple{
+			engine.NewInt(int64(i)), engine.NewInt(int64(rng.Intn(dims))),
+			engine.NewInt(int64(rng.Intn(16))), engine.NewInt(int64(rng.Intn(100))),
+			engine.NewFloat(float64(rng.Intn(1<<16)) / 256), engine.NewString(fmt.Sprintf("t%03d", rng.Intn(500))),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dt, _ := db.table("dims")
+	regions := []string{"north", "south", "east", "west", "central", "coast", "inland", "island"}
+	for i := 0; i < dims; i++ {
+		if err := dt.insert(engine.Tuple{engine.NewInt(int64(i)), engine.NewString(regions[rng.Intn(len(regions))]), engine.NewInt(int64(rng.Intn(10)))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ name, q string }{
+		{"filtered_count", `SELECT COUNT(*) AS n FROM facts WHERE x > 128`},
+		{"groupby_sum", `SELECT grp, SUM(x) AS s, COUNT(*) AS n FROM facts WHERE y < 50 GROUP BY grp`},
+		{"join_groupby", `SELECT d.region, SUM(f.x) AS s FROM facts f JOIN dims d ON f.dim_id = d.dim_id WHERE f.y < 15 GROUP BY d.region`},
+		{"selective_scan", `SELECT id, x FROM facts WHERE y = 42`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := db.Query(c.q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(c.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -290,13 +290,13 @@ type rowset struct {
 	isRows bool
 }
 
-// selection returns the current selection vector, materialising the
-// identity selection on first use.
-func (w *rowset) selection() []int32 {
-	if w.sel == nil {
-		w.sel = identitySel(w.batch.NumRows)
+// span returns the rows of the batch in the working set: the selection,
+// or every row while nothing has filtered it.
+func (w *rowset) span() span {
+	if w.sel != nil {
+		return span{sel: w.sel}
 	}
-	return w.sel
+	return span{hi: w.batch.NumRows}
 }
 
 // materialize converts the working set to row form; the bridge from the
@@ -323,10 +323,13 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 	// vectorized executor is on; any stage the vectorizer cannot compile
 	// materialises rows and continues on the row path.
 	var ws rowset
+	var err error
+	where := s.Where
 	if s.From == nil {
 		ws.rows, ws.isRows = []engine.Tuple{{}}, true
 	} else {
-		base, err := db.table(s.From.Name)
+		var base *Table
+		base, err = db.table(s.From.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -336,24 +339,36 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 		}
 		ws.rs = baseRowSchema(alias, base.Schema)
 		db.scanBase(base, &ws, s)
-		for _, j := range s.Joins {
-			jt, err := db.table(j.Table.Name)
-			if err != nil {
+		jts := make([]*Table, len(s.Joins))
+		joined := ws.rs
+		for i, j := range s.Joins {
+			if jts[i], err = db.table(j.Table.Name); err != nil {
 				return nil, err
 			}
-			jalias := j.Table.Alias
-			if jalias == "" {
-				jalias = jt.Name
+			joined = append(joined[:len(joined):len(joined)], baseRowSchema(joinAlias(j, jts[i]), jts[i].Schema)...)
+		}
+		// Vectorized only: WHERE conjuncts on the FROM table filter it
+		// before the joins probe and gather it, when they compile to a
+		// selection filter there.
+		if !ws.isRows && len(s.Joins) > 0 && where != nil {
+			if below, above := preJoinFilter(where, s.Joins, len(ws.rs), joined); below != nil {
+				if ok, err := filterVec(&ws, below); err != nil {
+					return nil, err
+				} else if ok {
+					where = above
+				}
 			}
-			if err := db.joinStep(&ws, jt, jalias, j); err != nil {
+		}
+		for i, j := range s.Joins {
+			if err := db.joinStep(&ws, jts[i], joinAlias(j, jts[i]), j); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	// 2. WHERE.
-	if s.Where != nil {
-		if err := db.applyWhere(&ws, s.Where); err != nil {
+	if where != nil {
+		if err := db.applyWhere(&ws, where); err != nil {
 			return nil, err
 		}
 	}
@@ -369,7 +384,6 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 		}
 	}
 	var out *engine.Relation
-	var err error
 	if grouped {
 		out, err = db.projectGrouped(s, &ws)
 	} else {
@@ -435,6 +449,37 @@ func (db *DB) ExecuteSelect(s *Select) (*engine.Relation, error) {
 	return out, nil
 }
 
+func joinAlias(j Join, t *Table) string {
+	if j.Table.Alias != "" {
+		return j.Table.Alias
+	}
+	return t.Name
+}
+
+// preJoinFilter splits WHERE by SplitBelowJoin for the FROM table (its
+// first fromCols working columns): a column is the FROM table's when it
+// resolves, unambiguously, in the joined schema to one of them.
+func preJoinFilter(where Expr, joins []Join, fromCols int, joined rowSchema) (below, above Expr) {
+	b, a := SplitBelowJoin(where, joins, 0, func(cr ColumnRef) (bool, bool) {
+		idx, err := joined.resolve(cr.Table, cr.Name)
+		return err == nil && idx < fromCols, err == nil
+	})
+	return conjoin(b), conjoin(a)
+}
+
+// conjoin ANDs the conjuncts left to right (nil for none).
+func conjoin(cs []Expr) Expr {
+	var acc Expr
+	for _, c := range cs {
+		if acc == nil {
+			acc = c
+		} else {
+			acc = BinaryExpr{Op: "AND", Left: acc, Right: c}
+		}
+	}
+	return acc
+}
+
 // scanBase reads the base table into the working set: via an index when
 // WHERE pins an indexed column to a literal, else as the cached column
 // batch (vectorized executor) or a row scan.
@@ -477,7 +522,7 @@ func (db *DB) joinStep(ws *rowset, jt *Table, jalias string, j Join) error {
 		if lIdx, rIdx, ok := equiJoinCols(j.On, ws.rs, rightRS); ok {
 			rb := jt.columnBatch()
 			combined := append(append(rowSchema{}, ws.rs...), rightRS...)
-			if out, ok := vecHashJoin(ws.batch, ws.selection(), rb, lIdx, rIdx, j.Kind, combined.toSchema()); ok {
+			if out, ok := vecHashJoin(ws.batch, ws.span(), rb, lIdx, rIdx, j.Kind, combined.toSchema()); ok {
 				db.stats.rowsScanned.Add(int64(rb.NumRows))
 				ws.batch, ws.sel, ws.rs = out, nil, combined
 				return nil
@@ -493,18 +538,12 @@ func (db *DB) joinStep(ws *rowset, jt *Table, jalias string, j Join) error {
 }
 
 // applyWhere filters the working set, vectorized when the predicate
-// compiles to a boolean kernel (partitioned across workers for large
+// compiles to a selection filter (partitioned across workers for large
 // batches), else row-at-a-time.
 func (db *DB) applyWhere(ws *rowset, where Expr) error {
 	if !ws.isRows {
-		vc := &vecCompiler{b: ws.batch, rs: ws.rs}
-		if pred, ok := vc.compile(where); ok && pred.kind == engine.TypeBool {
-			sel, err := runVecFilter(pred, ws.selection())
-			if err != nil {
-				return err
-			}
-			ws.sel = sel
-			return nil
+		if ok, err := filterVec(ws, where); ok || err != nil {
+			return err
 		}
 	}
 	rows := ws.materialize()
@@ -524,6 +563,21 @@ func (db *DB) applyWhere(ws *rowset, where Expr) error {
 	}
 	ws.rows = kept
 	return nil
+}
+
+// filterVec narrows a columnar working set's selection by where when
+// it compiles to a selection filter; ok=false leaves the set untouched.
+func filterVec(ws *rowset, where Expr) (ok bool, err error) {
+	f, ok := (&vecCompiler{b: ws.batch, rs: ws.rs}).compileFilter(where)
+	if !ok {
+		return false, nil
+	}
+	sel, err := runVecFilter(f, ws.span())
+	if err != nil {
+		return true, err
+	}
+	ws.sel = sel
+	return true, nil
 }
 
 // indexableEquality detects `col = literal` (or literal = col) at the
@@ -783,9 +837,9 @@ func projectPlainVec(exprs []Expr, names []string, ws *rowset) (*engine.Relation
 		}
 		evs[i] = ev
 	}
-	sel := ws.selection()
+	sp := ws.span()
 	out := engine.NewRelation(outputSchema(names, exprs, ws.rs))
-	n, ncols := len(sel), len(evs)
+	n, ncols := sp.len(), len(evs)
 	out.Tuples = make([]engine.Tuple, n)
 	arena := make([]engine.Value, n*ncols)
 	for k := range out.Tuples {
@@ -793,7 +847,7 @@ func projectPlainVec(exprs []Expr, names []string, ws *rowset) (*engine.Relation
 	}
 	var v vec
 	for j := range evs {
-		if err := evs[j].eval(sel, &v); err != nil {
+		if err := evs[j].eval(sp, &v); err != nil {
 			return nil, false, err
 		}
 		for k := 0; k < n; k++ {
@@ -1219,113 +1273,95 @@ func (db *DB) groupAccumRows(ws *rowset, groupBy []Expr, aggCalls []FuncCall) (m
 	return groups, order, nil
 }
 
-// groupAccumVec is the vectorized accumulation: group keys and
-// aggregate arguments are evaluated as column kernels over the
-// selection, one pass assigns every row a dense group id (specialised
-// hash maps for single int/string keys, byte-encoded composite keys
-// otherwise), then each aggregate runs a typed loop over its argument
-// vector into flat per-group accumulators — no per-row boxing, no
-// per-row closure calls.
+// groupInput is one GROUP BY key or aggregate argument: a column
+// vector read for the k-th selected row at index sp.at(k). A bare
+// column is the cached vector itself, read in place through the
+// selection; any other expression is a kernel result evaluated densely
+// over the selection.
+type groupInput struct {
+	col *engine.ColVec
+	sp  span
+}
+
+func (in *groupInput) row(k int) int { return int(in.sp.at(k)) }
+
+// groupAccumVec is the vectorized accumulation: one pass assigns every
+// selected row a dense group id (specialised hash maps for a single
+// int or string key, byte-encoded composite keys otherwise, and no id
+// array at all for the implicit single group), then each aggregate
+// runs a typed loop over its argument into flat per-group accumulators
+// — no per-row boxing, no per-row closure calls.
 func groupAccumVec(ws *rowset, groupBy []Expr, aggCalls []FuncCall) (map[string]*aggGroup, []string, bool, error) {
 	vc := &vecCompiler{b: ws.batch, rs: ws.rs}
-	gevs := make([]vecExpr, len(groupBy))
-	for i, g := range groupBy {
-		ev, ok := vc.compile(g)
-		if !ok {
-			return nil, nil, false, nil
-		}
-		gevs[i] = ev
-	}
-	argEvs := make([]*vecExpr, len(aggCalls))
-	for i, fc := range aggCalls {
+	sp := ws.span()
+	n := sp.len()
+	exprs := append([]Expr(nil), groupBy...)
+	for _, fc := range aggCalls {
 		if fc.Star {
-			continue // COUNT(*): no argument
-		}
-		ev, ok := vc.compile(fc.Args[0])
-		if !ok {
-			return nil, nil, false, nil
-		}
-		argEvs[i] = &ev
-	}
-
-	sel := ws.selection()
-	n := len(sel)
-	gvecs := make([]vec, len(gevs))
-	for i := range gevs {
-		if err := gevs[i].eval(sel, &gvecs[i]); err != nil {
-			return nil, nil, false, err
+			exprs = append(exprs, nil) // COUNT(*): no argument
+		} else {
+			exprs = append(exprs, fc.Args[0])
 		}
 	}
-	avecs := make([]*vec, len(argEvs))
-	for i, ev := range argEvs {
-		if ev == nil {
+	// Compile every input before evaluating any, so a plan the
+	// vectorizer refuses reaches the row path without having run.
+	inputs := make([]*groupInput, len(exprs))
+	evs := make([]*vecExpr, len(exprs))
+	for i, e := range exprs {
+		if e == nil {
 			continue
 		}
-		avecs[i] = &vec{}
-		if err := ev.eval(sel, avecs[i]); err != nil {
-			return nil, nil, false, err
+		if col, ok := vc.column(e); ok {
+			inputs[i] = &groupInput{col: col, sp: sp}
+			continue
+		}
+		ev, ok := vc.compile(e)
+		if !ok {
+			return nil, nil, false, nil
+		}
+		evs[i] = &ev
+	}
+	for i, ev := range evs {
+		if ev != nil {
+			var v vec
+			if err := ev.eval(sp, &v); err != nil {
+				return nil, nil, false, err
+			}
+			inputs[i] = &groupInput{col: v.colVec(), sp: span{hi: n}}
 		}
 	}
+	keys, args := inputs[:len(groupBy)], inputs[len(groupBy):]
 
 	// Phase 1: assign each selected row a dense group id.
 	var glist []*aggGroup
-	var keys []string
+	var gkeys []string
 	newGroup := func(k int) int32 {
 		var buf []byte
-		for gi := range gvecs {
-			buf = gvecs[gi].appendGroupKey(buf, k)
+		for _, in := range keys {
+			buf = appendGroupKey(buf, in.col, in.row(k))
 		}
-		glist = append(glist, newAggGroup(ws.batch.Row(int(sel[k])), aggCalls))
-		keys = append(keys, string(buf))
+		glist = append(glist, newAggGroup(ws.batch.Row(int(sp.at(k))), aggCalls))
+		gkeys = append(gkeys, string(buf))
 		return int32(len(glist) - 1)
 	}
-	gids := make([]int32, n)
+	var gids []int32 // nil: every row is in group 0
 	switch {
-	case len(gvecs) == 1 && gvecs[0].kind == engine.TypeInt:
-		gv := &gvecs[0]
-		m := make(map[int64]int32, 64)
-		nullGid := int32(-1)
-		for k := 0; k < n; k++ {
-			if gv.null[k] {
-				if nullGid < 0 {
-					nullGid = newGroup(k)
-				}
-				gids[k] = nullGid
-				continue
-			}
-			gid, ok := m[gv.ints[k]]
-			if !ok {
-				gid = newGroup(k)
-				m[gv.ints[k]] = gid
-			}
-			gids[k] = gid
+	case len(keys) == 0:
+		if n > 0 {
+			newGroup(0)
 		}
-	case len(gvecs) == 1 && gvecs[0].kind == engine.TypeString:
-		gv := &gvecs[0]
-		m := make(map[string]int32, 64)
-		nullGid := int32(-1)
-		for k := 0; k < n; k++ {
-			if gv.null[k] {
-				if nullGid < 0 {
-					nullGid = newGroup(k)
-				}
-				gids[k] = nullGid
-				continue
-			}
-			gid, ok := m[gv.strs[k]]
-			if !ok {
-				gid = newGroup(k)
-				m[gv.strs[k]] = gid
-			}
-			gids[k] = gid
-		}
+	case len(keys) == 1 && keys[0].col.Kind == engine.TypeInt:
+		gids = groupIDs(keys[0], keys[0].col.Ints, n, newGroup)
+	case len(keys) == 1 && keys[0].col.Kind == engine.TypeString:
+		gids = groupIDs(keys[0], keys[0].col.Strs, n, newGroup)
 	default:
+		gids = make([]int32, n)
 		m := make(map[string]int32, 64)
 		var buf []byte
 		for k := 0; k < n; k++ {
 			buf = buf[:0]
-			for gi := range gvecs {
-				buf = gvecs[gi].appendGroupKey(buf, k)
+			for _, in := range keys {
+				buf = appendGroupKey(buf, in.col, in.row(k))
 			}
 			gid, ok := m[string(buf)]
 			if !ok {
@@ -1338,22 +1374,73 @@ func groupAccumVec(ws *rowset, groupBy []Expr, aggCalls []FuncCall) (map[string]
 
 	// Phase 2: typed accumulation per aggregate.
 	for i, fc := range aggCalls {
-		accumAggVec(glist, gids, i, fc, avecs[i])
+		accumAggVec(glist, gids, n, i, fc, args[i])
 	}
 
 	groups := make(map[string]*aggGroup, len(glist))
-	for g, key := range keys {
+	for g, key := range gkeys {
 		groups[key] = glist[g]
 	}
-	return groups, keys, true, nil
+	return groups, gkeys, true, nil
 }
 
-// accumAggVec folds one aggregate's argument vector into its per-group
-// states through flat typed accumulator arrays, boxing at most once per
-// group (for MIN/MAX results) instead of once per row.
-func accumAggVec(glist []*aggGroup, gids []int32, agg int, fc FuncCall, av *vec) {
+// groupIDs assigns dense group ids over one typed key column; NULL keys
+// share one group, as on the row path.
+func groupIDs[T int64 | string](in *groupInput, vals []T, n int, newGroup func(k int) int32) []int32 {
+	gids := make([]int32, n)
+	m := make(map[T]int32, 64)
+	nullGid := int32(-1)
+	for k := 0; k < n; k++ {
+		i := in.row(k)
+		if in.col.Nulls.Get(i) {
+			if nullGid < 0 {
+				nullGid = newGroup(k)
+			}
+			gids[k] = nullGid
+			continue
+		}
+		gid, ok := m[vals[i]]
+		if !ok {
+			gid = newGroup(k)
+			m[vals[i]] = gid
+		}
+		gids[k] = gid
+	}
+	return gids
+}
+
+// groupOf returns the group of the k-th row; nil gids is the implicit
+// single group.
+func groupOf(gids []int32, k int) int32 {
+	if gids == nil {
+		return 0
+	}
+	return gids[k]
+}
+
+// aggFold is the flat per-group state of one aggregate being folded.
+type aggFold struct {
+	counts       []int64
+	sums, sumSqs []float64
+	has          []bool
+}
+
+func newAggFold(ng int) *aggFold {
+	return &aggFold{counts: make([]int64, ng), sums: make([]float64, ng), sumSqs: make([]float64, ng), has: make([]bool, ng)}
+}
+
+// accumAggVec folds one aggregate's argument into its per-group states
+// through flat typed accumulator arrays, boxing at most once per group
+// (for MIN/MAX results) instead of once per row.
+func accumAggVec(glist []*aggGroup, gids []int32, n, agg int, fc FuncCall, in *groupInput) {
 	ng := len(glist)
-	if av == nil { // COUNT(*)
+	if in == nil { // COUNT(*)
+		if gids == nil {
+			if n > 0 {
+				glist[0].aggs[agg].count += int64(n)
+			}
+			return
+		}
 		counts := make([]int64, ng)
 		for _, gid := range gids {
 			counts[gid]++
@@ -1363,111 +1450,81 @@ func accumAggVec(glist []*aggGroup, gids []int32, agg int, fc FuncCall, av *vec)
 		}
 		return
 	}
-	if fc.Distinct || (av.kind != engine.TypeInt && av.kind != engine.TypeFloat && av.kind != engine.TypeString) {
+	kind := in.col.Kind
+	if fc.Distinct || (kind != engine.TypeInt && kind != engine.TypeFloat && kind != engine.TypeString) {
 		// DISTINCT needs the per-value de-dup map; exotic kinds keep the
 		// reference semantics of aggState.add.
-		for k, gid := range gids {
-			glist[gid].aggs[agg].add(av.valueAt(k))
+		for k := 0; k < n; k++ {
+			glist[groupOf(gids, k)].aggs[agg].add(in.col.Value(in.row(k)))
 		}
 		return
 	}
-	counts := make([]int64, ng)
-	sums := make([]float64, ng)
-	sumSqs := make([]float64, ng)
-	has := make([]bool, ng)
-	finish := func(g int, minV, maxV engine.Value) {
-		st := glist[g].aggs[agg]
-		st.count = counts[g]
-		st.sum = sums[g]
-		st.sumSq = sumSqs[g]
-		st.min, st.max = minV, maxV
-		st.hasVal = true
-	}
-	switch av.kind {
+	st := newAggFold(ng)
+	switch kind {
 	case engine.TypeInt:
-		mins := make([]int64, ng)
-		maxs := make([]int64, ng)
-		for k, gid := range gids {
-			if av.null[k] {
-				continue
-			}
-			v := av.ints[k]
-			f := float64(v)
-			counts[gid]++
-			sums[gid] += f
-			sumSqs[gid] += f * f
-			if !has[gid] {
-				mins[gid], maxs[gid], has[gid] = v, v, true
-			} else {
-				if v < mins[gid] {
-					mins[gid] = v
-				}
-				if v > maxs[gid] {
-					maxs[gid] = v
-				}
-			}
-		}
-		for g := 0; g < ng; g++ {
-			if has[g] {
-				finish(g, engine.NewInt(mins[g]), engine.NewInt(maxs[g]))
-			}
-		}
+		mins, maxs := foldNumeric(st, in, in.col.Ints, gids, n)
+		finishFold(glist, agg, st, mins, maxs, engine.NewInt)
 	case engine.TypeFloat:
-		mins := make([]float64, ng)
-		maxs := make([]float64, ng)
-		for k, gid := range gids {
-			if av.null[k] {
-				continue
-			}
-			v := av.floats[k]
-			counts[gid]++
-			sums[gid] += v
-			sumSqs[gid] += v * v
-			if !has[gid] {
-				mins[gid], maxs[gid], has[gid] = v, v, true
-			} else {
-				if v < mins[gid] {
-					mins[gid] = v
-				}
-				if v > maxs[gid] {
-					maxs[gid] = v
-				}
-			}
-		}
-		for g := 0; g < ng; g++ {
-			if has[g] {
-				finish(g, engine.NewFloat(mins[g]), engine.NewFloat(maxs[g]))
-			}
-		}
+		mins, maxs := foldNumeric(st, in, in.col.Floats, gids, n)
+		finishFold(glist, agg, st, mins, maxs, engine.NewFloat)
 	case engine.TypeString:
-		mins := make([]string, ng)
-		maxs := make([]string, ng)
-		for k, gid := range gids {
-			if av.null[k] {
+		mins, maxs := make([]string, ng), make([]string, ng)
+		for k := 0; k < n; k++ {
+			i := in.row(k)
+			if in.col.Nulls.Get(i) {
 				continue
 			}
-			v := av.strs[k]
+			g, v := groupOf(gids, k), in.col.Strs[i]
 			// aggState sums strings through AsFloat (NaN when
 			// unparsable); replicate for result parity.
-			f := engine.NewString(v).AsFloat()
-			counts[gid]++
-			sums[gid] += f
-			sumSqs[gid] += f * f
-			if !has[gid] {
-				mins[gid], maxs[gid], has[gid] = v, v, true
-			} else {
-				if v < mins[gid] {
-					mins[gid] = v
-				}
-				if v > maxs[gid] {
-					maxs[gid] = v
-				}
-			}
+			st.add(g, engine.NewString(v).AsFloat())
+			foldMinMax(st, mins, maxs, g, v)
 		}
-		for g := 0; g < ng; g++ {
-			if has[g] {
-				finish(g, engine.NewString(mins[g]), engine.NewString(maxs[g]))
-			}
+		finishFold(glist, agg, st, mins, maxs, engine.NewString)
+	}
+}
+
+func (st *aggFold) add(g int32, f float64) {
+	st.counts[g]++
+	st.sums[g] += f
+	st.sumSqs[g] += f * f
+}
+
+func foldMinMax[T int64 | float64 | string](st *aggFold, mins, maxs []T, g int32, v T) {
+	if !st.has[g] {
+		mins[g], maxs[g], st.has[g] = v, v, true
+		return
+	}
+	if v < mins[g] {
+		mins[g] = v
+	}
+	if v > maxs[g] {
+		maxs[g] = v
+	}
+}
+
+// foldNumeric folds a numeric argument, read in place through its span.
+func foldNumeric[T int64 | float64](st *aggFold, in *groupInput, vals []T, gids []int32, n int) (mins, maxs []T) {
+	mins, maxs = make([]T, len(st.has)), make([]T, len(st.has))
+	for k := 0; k < n; k++ {
+		i := in.row(k)
+		if in.col.Nulls.Get(i) {
+			continue
+		}
+		g, v := groupOf(gids, k), vals[i]
+		st.add(g, float64(v))
+		foldMinMax(st, mins, maxs, g, v)
+	}
+	return mins, maxs
+}
+
+// finishFold writes the folded state into every group that saw a value.
+func finishFold[T any](glist []*aggGroup, agg int, st *aggFold, mins, maxs []T, box func(T) engine.Value) {
+	for g, ok := range st.has {
+		if ok {
+			a := glist[g].aggs[agg]
+			a.count, a.sum, a.sumSq = st.counts[g], st.sums[g], st.sumSqs[g]
+			a.min, a.max, a.hasVal = box(mins[g]), box(maxs[g]), true
 		}
 	}
 }

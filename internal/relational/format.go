@@ -211,6 +211,85 @@ func WalkColumnRefs(e Expr, fn func(ColumnRef)) {
 	}
 }
 
+// ErrorFree reports whether the expression can be evaluated on any row
+// without raising an error. WHERE evaluation short-circuits (a guard
+// like `d <> 0 AND 10/d > 1` protects the division), so any rewrite
+// that evaluates an expression on rows the original would not have —
+// a pushed-down or pre-join filter, an AND evaluated as two
+// selections — is sound only when nothing it reorders can error:
+// division, modulo and scalar function calls are excluded.
+func ErrorFree(e Expr) bool {
+	switch ex := e.(type) {
+	case Literal, ColumnRef, nil:
+		return true
+	case BinaryExpr:
+		if ex.Op == "/" || ex.Op == "%" {
+			return false
+		}
+		return ErrorFree(ex.Left) && ErrorFree(ex.Right)
+	case UnaryExpr:
+		return ErrorFree(ex.Expr)
+	case InExpr:
+		if !ErrorFree(ex.Expr) {
+			return false
+		}
+		for _, a := range ex.List {
+			if !ErrorFree(a) {
+				return false
+			}
+		}
+		return true
+	case IsNullExpr:
+		return ErrorFree(ex.Expr)
+	case BetweenExpr:
+		return ErrorFree(ex.Expr) && ErrorFree(ex.Lo) && ErrorFree(ex.Hi)
+	default:
+		return false // FuncCall and anything unknown
+	}
+}
+
+// SplitBelowJoin is the one rule for which WHERE conjuncts may filter
+// input target of a join (0 is the FROM table, k is joins[k-1]) before
+// the joins run: the executor's pre-join filter and core's CAST
+// pushdown both use it. A conjunct moves (below) when owns accepts
+// every column reference it reads; the rest stay (above). Nothing moves
+// when the target is the padded side of a LEFT JOIN, when any WHERE
+// conjunct or ON clause can error — a filtered input would hide an
+// error they raise on a removed row — or when owns reports a reference
+// that does not resolve, so a bad name still errors where it always did.
+func SplitBelowJoin(where Expr, joins []Join, target int, owns func(ColumnRef) (mine, resolves bool)) (below, above []Expr) {
+	conj := SplitConjuncts(where)
+	if target > 0 && joins[target-1].Kind == JoinLeft {
+		return nil, conj
+	}
+	for _, j := range joins {
+		if j.On != nil && !ErrorFree(j.On) {
+			return nil, conj
+		}
+	}
+	for _, c := range conj {
+		if !ErrorFree(c) {
+			return nil, conj
+		}
+	}
+	for _, c := range conj {
+		mineAll, resolvesAll := true, true
+		WalkColumnRefs(c, func(cr ColumnRef) {
+			mine, resolves := owns(cr)
+			mineAll, resolvesAll = mineAll && mine, resolvesAll && resolves
+		})
+		if !resolvesAll {
+			return nil, conj
+		}
+		if mineAll {
+			below = append(below, c)
+		} else {
+			above = append(above, c)
+		}
+	}
+	return below, above
+}
+
 // HasAggregate reports whether the expression contains an aggregate
 // function call (which a per-row pushdown predicate can never contain).
 func HasAggregate(e Expr) bool { return hasAggregate(e) }

@@ -48,8 +48,8 @@ func (db *DB) DumpBatchWhere(name, predicate string, columns []string) (cb *engi
 		compiled := false
 		if db.vectorized {
 			vc := &vecCompiler{b: base, rs: rs}
-			if pred, ok := vc.compile(e); ok && pred.kind == engine.TypeBool {
-				sel, err = runVecFilter(pred, identitySel(base.NumRows))
+			if f, ok := vc.compileFilter(e); ok {
+				sel, err = runVecFilter(f, span{hi: base.NumRows})
 				if err != nil {
 					return nil, scanned, false, err
 				}
